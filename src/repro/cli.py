@@ -411,17 +411,15 @@ def _make_cache(args: argparse.Namespace):
 
 
 def _make_cluster_cache(args: argparse.Namespace):
-    """Cluster-granular sub-key cache, conventionally placed next to
-    the triple cache at ``<cache-dir>/clusters``.  Disabled alongside
-    the triple cache (``--no-cache``) or on its own
+    """``batch``'s cluster-granular sub-key cache, conventionally
+    placed next to the triple cache at ``<cache-dir>/clusters``.
+    Disabled alongside the triple cache (``--no-cache``) or on its own
     (``--no-cluster-cache``).  With ``--peers`` the store is tiered
     over the fabric, so cluster artifacts computed on other hosts are
     hits here too."""
     from repro.service import ClusterCache, ResultCache, TieredCache
 
-    if getattr(args, "no_cache", False):
-        return None
-    if getattr(args, "no_cluster_cache", False):
+    if args.no_cache or args.no_cluster_cache:
         return None
     root = Path(args.cache_dir) / "clusters"
     remote = _make_remote(args)
@@ -561,7 +559,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     daemon = TimingDaemon(
         args.socket,
         cache=_make_cache(args),
-        cluster_cache=_make_cluster_cache(args),
         cache_server=cache_server,
         slow_path_limit=args.limit,
         telemetry=not args.no_telemetry,
@@ -1190,20 +1187,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="disable the result cache entirely",
         )
-        group.add_argument(
-            "--no-cluster-cache",
-            action="store_true",
-            help="disable the cluster-granular sub-key cache "
-            "(kept under <cache-dir>/clusters); with it on, a "
-            "one-gate edit recomputes only the touched cluster",
-        )
-        group.add_argument(
-            "--cluster-cache-entries",
-            type=int,
-            default=4096,
-            help="LRU bound on cached cluster artifacts "
-            "(default: 4096)",
-        )
         fabric = parser.add_argument_group("cache fabric")
         fabric.add_argument(
             "--peers",
@@ -1241,6 +1224,19 @@ def build_parser() -> argparse.ArgumentParser:
         "jobs", help="job-set JSON file (schema repro.batch/1)"
     )
     _cache_arguments(batch)
+    batch.add_argument(
+        "--no-cluster-cache",
+        action="store_true",
+        help="disable the cluster-granular sub-key cache "
+        "(kept under <cache-dir>/clusters); with it on, a "
+        "one-gate edit recomputes only the touched cluster",
+    )
+    batch.add_argument(
+        "--cluster-cache-entries",
+        type=int,
+        default=4096,
+        help="LRU bound on cached cluster artifacts (default: 4096)",
+    )
     batch.add_argument(
         "--workers",
         type=int,

@@ -1,4 +1,4 @@
-"""Cluster-granular result cache (sub-keys of the triple cache).
+"""Cluster-granular result cache for batch workers.
 
 The triple-keyed :class:`~repro.service.cache.ResultCache` answers "have
 we analysed exactly this (network, clocks, config)?" -- a one-gate edit
@@ -8,7 +8,7 @@ connected combinational network bounded by synchroniser terminals) gets
 its own content address (:func:`~repro.service.digest.cluster_digest`)
 over its cells, arc delays, internal nets, boundary clock bindings and
 the analysis config.  A delay mutation therefore changes exactly one
-cluster's digest, and a warm re-run of an edited design
+cluster's digest, and a warm batch re-run of an edited design
 
 * **hits** on every clean cluster -- its ``repro.clusterart/1`` artifact
   (source-to-capture reachability, ``dmax_p`` / ``dmin_p`` path delays,
@@ -17,11 +17,10 @@ cluster's digest, and a warm re-run of an edited design
   the per-source BFS;
 * **recomputes** only the dirty cluster's artifact.
 
-The *invalidation map* (:class:`ClusterMap`) is built from
-:func:`~repro.core.clusters.extract_clusters` partitions: it maps every
-combinational cell and net to its owning cluster and every cluster to
-its current sub-key, so the daemon's ``mutate`` path can drop one
-sub-entry instead of the whole triple.
+Content addressing needs no invalidation: a stale artifact is simply
+never addressed again and ages out of the LRU.  The cache only pays
+when it is warmed *before* the analysis model is built, so that the
+seeded reachability replaces the BFS; batch workers do exactly that.
 
 Storage reuses :class:`ResultCache` (same ``repro.cache/1`` on-disk
 entries, atomic writes, advisory index, LRU, integrity quarantine)
@@ -58,39 +57,21 @@ COUNTER_PREFIX = "service.cluster_cache"
 
 @dataclass(frozen=True)
 class ClusterMap:
-    """The invalidation map of one design at one delay state.
+    """The sub-keys of one design at one delay state.
 
-    Binds each cluster to its content sub-key and each combinational
-    cell / net to its owning cluster.  The map is a function of the
-    *live* delays: after a mutation the sub-keys change, so callers keep
-    the pre-mutation map around to know which old sub-entry to drop
-    (see :meth:`ClusterCache.invalidate`).
+    Binds each cluster to its content sub-key.  The map is a function
+    of the *live* delays: after a mutation the edited cluster's sub-key
+    changes and every other one stays.
     """
 
     clusters: Tuple[Cluster, ...]
     #: cluster name -> cluster_digest sub-key.
     keys: Dict[str, str] = field(default_factory=dict)
-    #: combinational cell name -> owning cluster name.
-    cell_to_cluster: Dict[str, str] = field(default_factory=dict)
-    #: net name -> owning cluster name.
-    net_to_cluster: Dict[str, str] = field(default_factory=dict)
-
-    def owner_of_cell(self, cell_name: str) -> Optional[str]:
-        """The cluster owning a combinational cell (None if unknown)."""
-        return self.cell_to_cluster.get(cell_name)
-
-    def owner_of_net(self, net_name: str) -> Optional[str]:
-        return self.net_to_cluster.get(net_name)
-
-    def key_of(self, cluster_name: str) -> Optional[str]:
-        return self.keys.get(cluster_name)
 
     def to_dict(self) -> Dict[str, object]:
-        """Summary suitable for stats responses (no full key dump)."""
+        """Plain-data summary of the map."""
         return {
             "clusters": len(self.clusters),
-            "cells": len(self.cell_to_cluster),
-            "nets": len(self.net_to_cluster),
             "keys": dict(self.keys),
         }
 
@@ -102,7 +83,7 @@ def build_cluster_map(
     config_sha: str,
     clusters: Optional[Tuple[Cluster, ...]] = None,
 ) -> ClusterMap:
-    """Build the invalidation map for ``network`` at ``delays``.
+    """Build the sub-key map for ``network`` at ``delays``.
 
     ``clusters`` lets callers reuse an already-extracted partition (the
     analysis model and the batch planner both run
@@ -110,23 +91,11 @@ def build_cluster_map(
     """
     if clusters is None:
         clusters = extract_clusters(network)
-    keys: Dict[str, str] = {}
-    cell_to_cluster: Dict[str, str] = {}
-    net_to_cluster: Dict[str, str] = {}
-    for cluster in clusters:
-        keys[cluster.name] = cluster_digest(
-            cluster, schedule, delays, config_sha
-        )
-        for cell in cluster.cells:
-            cell_to_cluster[cell.name] = cluster.name
-        for net_name in cluster.net_names:
-            net_to_cluster[net_name] = cluster.name
-    return ClusterMap(
-        clusters=tuple(clusters),
-        keys=keys,
-        cell_to_cluster=cell_to_cluster,
-        net_to_cluster=net_to_cluster,
-    )
+    keys = {
+        cluster.name: cluster_digest(cluster, schedule, delays, config_sha)
+        for cluster in clusters
+    }
+    return ClusterMap(clusters=tuple(clusters), keys=keys)
 
 
 @dataclass
@@ -159,7 +128,7 @@ class ClusterWarmup:
 
 
 class ClusterCache:
-    """Per-cluster artifact store with cluster-granular invalidation.
+    """Per-cluster artifact store, keyed by cluster content.
 
     Parameters
     ----------
@@ -258,42 +227,6 @@ class ClusterCache:
             f"{COUNTER_PREFIX}.hit_rate", warmup.hit_rate
         )
         return warmup
-
-    # ------------------------------------------------------------------
-    # invalidation
-    # ------------------------------------------------------------------
-    def invalidate(
-        self, cmap: ClusterMap, cell_name: str
-    ) -> Optional[str]:
-        """Drop the sub-entry of the cluster owning ``cell_name``.
-
-        ``cmap`` must be the *pre-mutation* map -- its sub-keys address
-        the now-stale artifacts.  Returns the touched cluster's name,
-        or ``None`` when the cell is not in any cluster (synchronisers
-        and pads have no combinational arcs of their own; scaling one
-        changes its ``SyncTiming``, which lives in the *boundary* part
-        of every adjacent cluster's digest -- callers fall back to
-        :meth:`invalidate_all` in that case).
-        """
-        owner = cmap.owner_of_cell(cell_name)
-        if owner is None:
-            return None
-        key = cmap.key_of(owner)
-        if key is not None:
-            self._cache.evict(key)
-        obs.counter(f"{COUNTER_PREFIX}.invalidated")
-        return owner
-
-    def invalidate_all(self, cmap: ClusterMap) -> int:
-        """Drop every sub-entry of the map (clock/schedule mutations)."""
-        dropped = 0
-        for key in cmap.keys.values():
-            if self._cache.evict(key):
-                dropped += 1
-        obs.counter(
-            f"{COUNTER_PREFIX}.invalidated", value=len(cmap.keys)
-        )
-        return dropped
 
     # ------------------------------------------------------------------
     # plumbing

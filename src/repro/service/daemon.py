@@ -98,7 +98,6 @@ from repro.obs.profile import SamplingProfiler
 from repro.obs.tracestore import TailSampler, TraceStore
 from repro.obs.tsdb import MetricsHistory
 from repro.service.cache import ResultCache
-from repro.service.cluster_cache import ClusterCache, ClusterMap
 from repro.service.digest import (
     analysis_config,
     cache_key,
@@ -182,11 +181,6 @@ class _DesignState:
         self.lock = threading.Lock()
         self.mutations = 0
         self.analyses = 0
-        #: Cluster invalidation map at the *current* delay state
-        #: (``None`` until the cluster cache first touches this design).
-        #: Kept one step behind a mutation on purpose: its sub-keys
-        #: address the pre-mutation artifacts that must be dropped.
-        self.cluster_map: Optional[ClusterMap] = None
         #: Requests currently queued on / holding this design's lock.
         self.in_flight = 0
         #: Has the *current* engine answered at least once?  Reset on a
@@ -250,12 +244,6 @@ class TimingDaemon:
         Requests at least this slow log their full span tree (traced
         requests only -- the span detail comes from the per-request
         recorder).
-    cluster_cache:
-        Optional :class:`repro.service.cluster_cache.ClusterCache` (or
-        a directory path).  Analyses keep per-cluster artifacts in it;
-        a ``scale_cell`` mutation then drops exactly the touched
-        cluster's sub-entry instead of invalidating the whole
-        (network, clocks, config) triple.
     alert_rules:
         ``None`` for the built-in :data:`repro.obs.alerts.DEFAULT_RULES`,
         a path to a TOML/JSON rule file (extends/overrides the
@@ -301,7 +289,6 @@ class TimingDaemon:
         http_port: Optional[int] = None,
         access_log: Union[None, str, "os.PathLike[str]", AccessLog] = None,
         slow_threshold_s: float = 1.0,
-        cluster_cache: Union[ClusterCache, str, None] = None,
         history_interval_s: float = 5.0,
         history_capacity: int = 720,
         alert_rules: Union[
@@ -355,12 +342,6 @@ class TimingDaemon:
         self.fabric_probe_interval_s = max(
             5.0, float(history_interval_s)
         )
-        if cluster_cache is None or isinstance(
-            cluster_cache, ClusterCache
-        ):
-            self.cluster_cache: Optional[ClusterCache] = cluster_cache
-        else:
-            self.cluster_cache = ClusterCache(cluster_cache)
         self.slow_path_limit = slow_path_limit
         self.started_at = time.time()
         self.requests = 0
@@ -936,7 +917,6 @@ class TimingDaemon:
                 "socket": self.socket_path,
                 "telemetry": self.recorder is not None,
                 "result_cache": self.cache is not None,
-                "cluster_cache": self.cluster_cache is not None,
                 "access_log": self.access_log is not None,
                 "slow_path_limit": self.slow_path_limit,
                 "slow_threshold_s": self.slow_threshold_s,
@@ -1166,8 +1146,6 @@ class TimingDaemon:
         # Persist write-behind LRU recency (advisory -- safe to lose).
         if self.cache is not None:
             self.cache.flush()
-        if self.cluster_cache is not None:
-            self.cluster_cache.flush()
         try:
             os.unlink(self.socket_path)
         except OSError:
@@ -1455,27 +1433,6 @@ class TimingDaemon:
             key = state.content_key(limit, tolerance)
             if state.mutations == 0 and key not in self.cache:
                 self.cache.put(key, result.payload(), manifest)
-        cluster_info = None
-        if self.cluster_cache is not None:
-            # Refresh the per-cluster artifacts at the *live* delay
-            # state (mutations give clusters new, correct sub-keys --
-            # content addressing cannot be poisoned by history) and
-            # remember the map so the next mutation can invalidate a
-            # single sub-entry.  Reuses the analyzer's own partition.
-            config_sha = config_digest(
-                analysis_config(
-                    slow_path_limit=limit, tolerance=tolerance
-                )
-            )
-            warmup = self.cluster_cache.warm(
-                state.network,
-                state.schedule,
-                state.analyzer.delays,
-                config_sha,
-                clusters=state.analyzer.model.clusters,
-            )
-            state.cluster_map = warmup.map
-            cluster_info = warmup.to_dict()
         response = {
             "ok": True,
             "engine": engine,
@@ -1490,8 +1447,6 @@ class TimingDaemon:
             "manifest_digest": manifest_digest(manifest),
             "timing_digest": timing_digest(manifest),
         }
-        if cluster_info is not None:
-            response["cluster_cache"] = cluster_info
         self._publish_snapshot(
             state, (limit, tolerance, request.get("label")), response
         )
@@ -1740,59 +1695,25 @@ class TimingDaemon:
             # this bump fails the epoch check and queues on the lock.
             state.epoch += 1
             self._counter("service.daemon.epoch_bumps")
-            # The map built at the last analyze addresses the
-            # *pre-mutation* artifacts -- exactly the sub-entries that
-            # are about to go stale.  Build it on demand if a mutation
-            # arrives before any analyze.
-            pre_map = None
-            if self.cluster_cache is not None:
-                pre_map = self._ensure_cluster_map(state, request)
-            touched_cluster: Optional[str] = None
-            dropped_sub_keys = 0
             with obs.span("service.daemon.mutate", category="service"):
                 if action == "scale_cell":
                     cell = str(request.get("cell", ""))
                     factor = float(request["factor"])
                     state.analyzer.scale_cell(cell, factor)
-                    touched_cluster = state.analyzer.last_touched_cluster
-                    if self.cluster_cache is not None and pre_map is not None:
-                        if touched_cluster is not None:
-                            # Cluster-granular: drop one sub-entry, keep
-                            # every clean cluster's artifact warm.
-                            self.cluster_cache.invalidate(pre_map, cell)
-                            dropped_sub_keys = 1
-                        else:
-                            # The cell is not combinational (e.g. a
-                            # synchroniser): its SyncTiming sits on the
-                            # boundary of every adjacent cluster, so be
-                            # conservative and drop the whole map.
-                            dropped_sub_keys = (
-                                self.cluster_cache.invalidate_all(pre_map)
-                            )
                 elif action == "scale_clocks":
                     factor = request["factor"]
                     state.schedule = state.schedule.scaled(factor)
                     self._rebuild(state)
-                    if self.cluster_cache is not None and pre_map is not None:
-                        # Every cluster's boundary waveforms changed.
-                        dropped_sub_keys = (
-                            self.cluster_cache.invalidate_all(pre_map)
-                        )
                 elif action == "set_pulse_width":
                     state.schedule = state.schedule.with_pulse_width(
                         str(request["clock"]), request["width"]
                     )
                     self._rebuild(state)
-                    if self.cluster_cache is not None and pre_map is not None:
-                        dropped_sub_keys = (
-                            self.cluster_cache.invalidate_all(pre_map)
-                        )
                 else:
                     raise ValueError(
                         f"unknown mutate action {action!r} (use "
                         "scale_cell, scale_clocks or set_pulse_width)"
                     )
-            state.cluster_map = None  # stale: rebuilt at next analyze
             state.mutations += 1
             self._counter("service.daemon.mutations")
             response: Dict[str, object] = {
@@ -1802,35 +1723,9 @@ class TimingDaemon:
                 "rebuilds": state.analyzer.rebuilds,
                 "swaps": state.analyzer.swaps,
             }
-            if self.cluster_cache is not None:
-                response["touched_cluster"] = touched_cluster
-                response["dropped_sub_keys"] = dropped_sub_keys
             if request.get("analyze", True):
                 response["analysis"] = self._analyze_state(state, request)
             return response
-
-    def _ensure_cluster_map(
-        self, state: _DesignState, request: Dict[str, object]
-    ) -> ClusterMap:
-        """The design's invalidation map at the current delay state."""
-        if state.cluster_map is None:
-            from repro.service.cluster_cache import build_cluster_map
-
-            limit = request.get("slow_path_limit", self.slow_path_limit)
-            tolerance = float(request.get("tolerance", 0.0) or 0.0)
-            config_sha = config_digest(
-                analysis_config(
-                    slow_path_limit=limit, tolerance=tolerance
-                )
-            )
-            state.cluster_map = build_cluster_map(
-                state.network,
-                state.schedule,
-                state.analyzer.delays,
-                config_sha,
-                clusters=state.analyzer.model.clusters,
-            )
-        return state.cluster_map
 
     def _rebuild(self, state: _DesignState) -> None:
         """Clock edits change the instance windows: rebuild the engine
@@ -1884,11 +1779,6 @@ class TimingDaemon:
             "cache": (
                 self.cache.stats.to_dict()
                 if self.cache is not None
-                else None
-            ),
-            "cluster_cache": (
-                self.cluster_cache.stats.to_dict()
-                if self.cluster_cache is not None
                 else None
             ),
         }

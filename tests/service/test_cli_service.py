@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
-from repro.cli import main
+from repro.cells import standard_library
+from repro.clocks.serialize import load_schedule
+from repro.cli import build_parser, main
+from repro.core.analyzer import Hummingbird
+from repro.delay.estimator import estimate_delays
+from repro.netlist.persistence import load_network
+from repro.report.manifest import timing_digest
 from repro.service import DaemonClient, TimingDaemon
 
 
@@ -131,35 +138,87 @@ class TestQueryCommand:
             )
 
 
+def _serve_in_thread(argv):
+    """Run ``main(argv)`` (a ``serve`` command) in a thread; returns
+    a connected client, the done event and the exit-status dict."""
+    done = threading.Event()
+    status = {}
+
+    def run():
+        status["code"] = main(argv)
+        done.set()
+
+    threading.Thread(target=run, daemon=True).start()
+    # Wait for the socket to appear, then drive it.
+    for __ in range(200):
+        try:
+            return DaemonClient(argv[2], timeout=30.0), done, status
+        except OSError:
+            time.sleep(0.05)
+    pytest.fail("serve never came up")  # pragma: no cover
+
+
 class TestServeCommand:
     def test_serve_foreground_until_shutdown(
         self, tmp_path, design_files
     ):
         sock = str(tmp_path / "serve.sock")
-        done = threading.Event()
-        status = {}
-
-        def run():
-            status["code"] = main(
-                ["serve", "--socket", sock, "--no-cache"]
-            )
-            done.set()
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        # Wait for the socket to appear, then drive it.
-        import time
-
-        for __ in range(200):
-            try:
-                client = DaemonClient(sock, timeout=5.0)
-                break
-            except OSError:
-                time.sleep(0.05)
-        else:  # pragma: no cover
-            pytest.fail("serve never came up")
+        client, done, status = _serve_in_thread(
+            ["serve", "--socket", sock, "--no-cache"]
+        )
         with client:
             assert client.ping()["pong"]
             client.shutdown()
         assert done.wait(timeout=10.0)
         assert status["code"] == 0
+
+    def test_serve_keeps_no_cluster_cache(self, tmp_path, design_files):
+        """The shipped daemon writes no per-cluster artifacts, carries
+        no cluster fields, and every answer matches a from-scratch
+        analysis at the same delay state."""
+        netlist, clocks = design_files
+        cache_dir = tmp_path / "cache"
+        client, done, status = _serve_in_thread(
+            ["serve", "--socket", str(tmp_path / "serve.sock"),
+             "--cache-dir", str(cache_dir)]
+        )
+
+        def scratch_digest(factor=None):
+            network = load_network(netlist, standard_library())
+            delays = estimate_delays(network)
+            if factor is not None:
+                delays = delays.with_scaled_cell("s1_i0", factor)
+            result = Hummingbird(
+                network, load_schedule(clocks), delays=delays
+            ).analyze()
+            return timing_digest(
+                result.manifest(netlist_path=netlist, clocks_path=clocks)
+            )
+
+        with client:
+            analyzed = client.analyze(netlist, clocks)
+            mutated = client.mutate(
+                netlist, clocks, "scale_cell", cell="s1_i0", factor=1.5,
+                analyze=True,
+            )
+            reread = client.analyze(netlist, clocks)
+            client.shutdown()
+        assert done.wait(timeout=10.0)
+        assert status["code"] == 0
+
+        responses = (analyzed, mutated, mutated["analysis"], reread)
+        assert all(r["ok"] for r in responses)
+        for response in responses:
+            assert "cluster_cache" not in response
+            assert "touched_cluster" not in response
+        assert not (cache_dir / "clusters").exists()
+        assert analyzed["timing_digest"] == scratch_digest()
+        assert mutated["analysis"]["timing_digest"] == scratch_digest(1.5)
+        assert reread["timing_digest"] == scratch_digest(1.5)
+
+    def test_serve_rejects_cluster_cache_flags(self):
+        parser = build_parser()
+        for flag in (["--no-cluster-cache"], ["--cluster-cache-entries", "8"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["serve", "--socket", "s.sock", *flag])
+            parser.parse_args(["batch", "jobs.json", *flag])

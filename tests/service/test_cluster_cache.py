@@ -1,20 +1,14 @@
-"""Cluster-granular cache: digests, invalidation map, byte-identity.
-
-Covers the PR-5 tentpole end to end:
+"""Cluster-granular cache: digests, sub-key map, byte-identity.
 
 * :func:`repro.service.digest.cluster_digest` -- stability across
   re-extraction, locality of a one-cell delay change;
-* :class:`repro.service.cluster_cache.ClusterMap` -- cell/net
-  ownership, synchroniser fallback;
 * :class:`repro.service.cluster_cache.ClusterCache` -- cold warm,
-  full-hit warm, one-dirty-cluster warm, invalidation, schema guard;
+  full-hit warm, one-dirty-cluster warm, schema guard;
 * the byte-identity property: a cluster-cached re-analysis after a
   single-cell delay mutation produces the *same* manifest digest as a
   from-scratch run, while every cluster outside the mutated cone hits;
-* :class:`repro.core.incremental.IncrementalAnalyzer` touched-cluster
-  reporting (including survival across control-cone rebuilds);
-* daemon and batch wiring (``touched_cluster`` / ``dropped_sub_keys``
-  responses, warm-re-run hit rates).
+* batch wiring (warm-re-run hit rates) and the daemon's lack of
+  cluster fields.
 """
 
 from __future__ import annotations
@@ -25,9 +19,8 @@ from hypothesis import strategies as st
 
 from repro.core.analyzer import Hummingbird
 from repro.core.clusters import ARTIFACT_SCHEMA, extract_clusters
-from repro.core.incremental import IncrementalAnalyzer
 from repro.delay.estimator import estimate_delays
-from repro.generators import clock_gated_design, latch_pipeline
+from repro.generators import latch_pipeline
 from repro.report.manifest import manifest_digest
 from repro.service import (
     BatchEngine,
@@ -44,6 +37,15 @@ CONFIG_SHA = "a" * 64
 def _design():
     return latch_pipeline(
         stages=4, stage_lengths=[10, 1, 1, 1], period=12.0
+    )
+
+
+def _owner(clusters, cell_name):
+    """The name of the cluster holding a combinational cell."""
+    return next(
+        cluster.name
+        for cluster in clusters
+        if any(cell.name == cell_name for cell in cluster.cells)
     )
 
 
@@ -86,7 +88,7 @@ class TestClusterDigest:
             for name in before.keys
             if before.keys[name] != after.keys[name]
         ]
-        assert changed == [before.owner_of_cell("s1_i0")]
+        assert changed == [_owner(before.clusters, "s1_i0")]
 
     def test_config_perturbs_every_key(self, design):
         network, schedule = design
@@ -107,25 +109,6 @@ class TestClusterDigest:
 
 
 class TestClusterMap:
-    def test_cell_and_net_ownership_agree(self, design):
-        network, schedule = design
-        cmap = build_cluster_map(
-            network, schedule, estimate_delays(network), CONFIG_SHA
-        )
-        owner = cmap.owner_of_cell("s1_i0")
-        assert owner is not None
-        cluster = next(c for c in cmap.clusters if c.name == owner)
-        assert any(cell.name == "s1_i0" for cell in cluster.cells)
-        # The inverter's output net lives in the same cluster.
-        assert cmap.owner_of_net("s1_c0") == owner
-
-    def test_synchronisers_have_no_owner(self, design):
-        network, schedule = design
-        cmap = build_cluster_map(
-            network, schedule, estimate_delays(network), CONFIG_SHA
-        )
-        assert cmap.owner_of_cell("s1_l") is None
-
     def test_to_dict_summary(self, design):
         network, schedule = design
         cmap = build_cluster_map(
@@ -185,33 +168,10 @@ class TestWarm:
         store.warm(network, schedule, delays, CONFIG_SHA)
         mutated = delays.with_scaled_cell("s1_i0", 1.5)
         warmup = store.warm(network, schedule, mutated, CONFIG_SHA)
-        assert warmup.recomputed == [warmup.map.owner_of_cell("s1_i0")]
+        assert warmup.recomputed == [
+            _owner(warmup.map.clusters, "s1_i0")
+        ]
         assert len(warmup.hits) == len(warmup.map.clusters) - 1
-
-    def test_invalidate_drops_one_sub_entry(self, design, store):
-        network, schedule = design
-        delays = estimate_delays(network)
-        warmup = store.warm(network, schedule, delays, CONFIG_SHA)
-        owner = store.invalidate(warmup.map, "s1_i0")
-        assert owner == warmup.map.owner_of_cell("s1_i0")
-        again = store.warm(network, schedule, delays, CONFIG_SHA)
-        assert again.recomputed == [owner]
-
-    def test_invalidate_synchroniser_returns_none(self, design, store):
-        network, schedule = design
-        warmup = store.warm(
-            network, schedule, estimate_delays(network), CONFIG_SHA
-        )
-        assert store.invalidate(warmup.map, "s1_l") is None
-
-    def test_invalidate_all_drops_every_sub_entry(self, design, store):
-        network, schedule = design
-        delays = estimate_delays(network)
-        warmup = store.warm(network, schedule, delays, CONFIG_SHA)
-        dropped = store.invalidate_all(warmup.map)
-        assert dropped == len(warmup.map.clusters)
-        again = store.warm(network, schedule, delays, CONFIG_SHA)
-        assert again.hits == []
 
     def test_probe_rejects_foreign_schema(self, store):
         store.store("k" * 64, {"schema": "bogus/9", "reach": {}})
@@ -253,7 +213,7 @@ class TestByteIdentity:
             network, schedule, mutated, CONFIG_SHA, clusters=clusters
         )
         # Every cluster outside the mutated cone hits.
-        assert warmup.recomputed == [warmup.map.owner_of_cell(cell)]
+        assert warmup.recomputed == [_owner(clusters, cell)]
         assert len(warmup.hits) == len(warmup.map.clusters) - 1
 
         cached = Hummingbird(
@@ -274,86 +234,7 @@ class TestByteIdentity:
         )
 
 
-class TestIncrementalTouchedCluster:
-    def test_scale_cell_reports_owner(self, design):
-        network, schedule = design
-        analyzer = IncrementalAnalyzer(network, schedule)
-        assert analyzer.last_touched_cluster is None
-        analyzer.scale_cell("s1_i0", 1.5)
-        assert analyzer.last_touched_cluster == analyzer.cluster_of(
-            "s1_i0"
-        )
-        assert analyzer.swaps == 1
-
-    def test_scale_synchroniser_reports_none(self, design):
-        network, schedule = design
-        analyzer = IncrementalAnalyzer(network, schedule)
-        analyzer.scale_cell("s1_l", 1.5)
-        assert analyzer.last_touched_cluster is None
-
-    def test_touched_cluster_survives_control_cone_rebuild(self):
-        network, schedule = clock_gated_design()
-        analyzer = IncrementalAnalyzer(network, schedule)
-        owner = analyzer.cluster_of("en_buf0")
-        assert owner is not None
-        analyzer.scale_cell("en_buf0", 1.5)
-        # Control-cone edit: full rebuild, but the touched cluster is
-        # still reported so the cache layer can drop its sub-entry.
-        assert analyzer.rebuilds == 1
-        assert analyzer.last_touched_cluster == owner
-
-
 class TestDaemonWiring:
-    @pytest.fixture
-    def served(self, tmp_path, design_files):
-        sock = str(tmp_path / "repro.sock")
-        daemon = TimingDaemon(
-            sock,
-            cache=None,
-            cluster_cache=ClusterCache(tmp_path / "clusters"),
-        )
-        with daemon, DaemonClient(sock, timeout=30.0) as client:
-            yield client, design_files
-
-    def test_analyze_reports_cluster_cache(self, served):
-        client, (netlist, clocks) = served
-        first = client.analyze(netlist, clocks)
-        assert first["ok"]
-        info = first["cluster_cache"]
-        assert info["recomputed"] == info["clusters"] > 0
-        assert info["hits"] == 0
-
-    def test_mutate_drops_exactly_one_sub_key(self, served):
-        client, (netlist, clocks) = served
-        client.analyze(netlist, clocks)
-        response = client.mutate(
-            netlist, clocks, "scale_cell", cell="s1_i0", factor=1.5
-        )
-        assert response["ok"]
-        assert response["touched_cluster"] is not None
-        assert response["dropped_sub_keys"] == 1
-        # The follow-up analysis recomputes only the dirty cluster.
-        info = response["analysis"]["cluster_cache"]
-        assert info["recomputed"] == 1
-        assert info["hits"] == info["clusters"] - 1
-
-    def test_clock_mutation_drops_the_whole_map(self, served):
-        client, (netlist, clocks) = served
-        baseline = client.analyze(netlist, clocks)
-        clusters = baseline["cluster_cache"]["clusters"]
-        response = client.mutate(
-            netlist, clocks, "scale_clocks", factor=2
-        )
-        assert response["ok"]
-        assert response["touched_cluster"] is None
-        assert response["dropped_sub_keys"] == clusters
-
-    def test_stats_includes_cluster_cache(self, served):
-        client, (netlist, clocks) = served
-        client.analyze(netlist, clocks)
-        stats = client.stats()
-        assert stats["cluster_cache"] is not None
-
     def test_disabled_cache_omits_cluster_fields(
         self, tmp_path, design_files
     ):
