@@ -58,9 +58,14 @@ class TableDelay:
             low, high = len(loads) - 2, len(loads) - 1
         else:
             low, high = index - 1, index
+        rise = delays[high] - delays[low]
+        if not rise:
+            # Flat segment.  Skipping the division also keeps a
+            # subnormal span (whose fraction overflows to inf) finite.
+            return delays[low]
         span = loads[high] - loads[low]
         fraction = (load - loads[low]) / span
-        return delays[low] + fraction * (delays[high] - delays[low])
+        return delays[low] + fraction * rise
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,13 @@ def _profile_arguments(group) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _json_num(value: Optional[float]) -> object:
     """JSON-safe numeric encoding (infinities become strings)."""
     if value is None:
@@ -1302,12 +1309,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--limit", type=int, default=50)
     serve.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=8,
         metavar="N",
         help="request-dispatch thread-pool size; connections pipeline "
         "onto it so a slow cold analysis cannot head-of-line-block "
-        "other designs (0 dispatches inline per connection; default: 8)",
+        "other designs (default: 8)",
     )
     serve.add_argument(
         "--no-snapshot-reads",

@@ -23,12 +23,13 @@ Rule kinds:
     ``for_s`` seconds -- a dead telemetry pipeline looks exactly like a
     healthy silent one unless something checks for presence.
 ``burn_rate``
-    Ratio of counter *increments* over a trailing ``window_s`` window:
-    ``sum(delta(numerator)) / sum(delta(denominator)) > threshold``.
-    Deltas clamp at zero per series so a counter reset (daemon
-    restart) never produces a negative or spuriously huge burn.
-    ``denominator`` may list several series (summed), which is how
-    hit-rate collapse is phrased: ``misses / (hits + misses)``.
+    Ratio of counter increases over a trailing ``window_s`` window:
+    ``sum(increase(numerator)) / sum(increase(denominator)) >
+    threshold``.  :func:`repro.obs.tsdb.increase` decides what a counter
+    reset (daemon restart) means, so a restart never produces a
+    negative burn.  ``denominator`` may list several series (summed),
+    which is how hit-rate collapse is phrased: ``misses / (hits +
+    misses)``.
 ``event``
     Fired and resolved imperatively via :meth:`AlertEngine.fire` /
     :meth:`AlertEngine.clear` -- the stall watchdog drives
@@ -58,7 +59,7 @@ from typing import (
     Union,
 )
 
-from repro.obs.tsdb import MetricsHistory, resolve_metric
+from repro.obs.tsdb import MetricsHistory, increase, resolve_metric
 
 __all__ = [
     "ALERTS_SCHEMA",
@@ -371,13 +372,8 @@ class AlertEngine:
         window = [p for p in points if p.get("ts", 0) >= now - rule.window_s]
         if len(window) < 2:
             return False, None, ""
-        first, last = window[0], window[-1]
-        num = sum(
-            self._delta(first, last, name) for name in rule.numerator
-        )
-        den = sum(
-            self._delta(first, last, name) for name in rule.denominator
-        )
+        num = sum(increase(window, name) for name in rule.numerator)
+        den = sum(increase(window, name) for name in rule.denominator)
         if den < rule.min_denominator:
             return False, None, ""
         ratio = num / den if den else 0.0
@@ -390,21 +386,6 @@ class AlertEngine:
             else ""
         )
         return breached, round(ratio, 6), message
-
-    @staticmethod
-    def _delta(
-        first: Dict[str, object], last: Dict[str, object], name: str
-    ) -> float:
-        """Counter increment across the window, clamped at zero.
-
-        A restarted daemon resets counters; ``max(0, ...)`` makes the
-        window contribute nothing instead of a negative burn.
-        """
-        a = resolve_metric(first, name)
-        b = resolve_metric(last, name)
-        if a is None or b is None:
-            return 0.0
-        return max(0.0, b - a)
 
     def _step(
         self,

@@ -34,6 +34,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.obs.tsdb import rate, resolve_metric
+
 __all__ = [
     "FLEET_SCHEMA",
     "FLEET_DOCTOR_SCHEMA",
@@ -51,7 +53,7 @@ FLEET_SCHEMA = "repro.fleet/1"
 #: Schema of the aggregated triage document (``doctor --fleet``).
 FLEET_DOCTOR_SCHEMA = "repro.fleetdoctor/1"
 
-#: Counter whose per-point deltas give the request rate.
+#: Counter whose increase gives the request rate.
 _REQUESTS = "service.daemon.requests"
 #: Histogram whose quantiles feed the latency columns.
 _LATENCY = "service.daemon.request_seconds"
@@ -99,54 +101,6 @@ def load_peers(path: Union[str, Path]) -> List[str]:
     return peers
 
 
-def _rate_from_history(
-    history: Optional[Dict[str, object]]
-) -> float:
-    """Requests/s from the two newest history points (rebased on
-    counter resets -- a restarted peer reports its count-since-restart
-    over the window instead of a clamped zero)."""
-    points = (history or {}).get("points") or []
-    if len(points) < 2:
-        return 0.0
-    earlier, later = points[-2], points[-1]
-    try:
-        dt = float(later["ts"]) - float(earlier["ts"])
-        now = float((later.get("counters") or {}).get(_REQUESTS, 0.0))
-        before = float((earlier.get("counters") or {}).get(_REQUESTS, 0.0))
-    except (KeyError, TypeError, ValueError):
-        return 0.0
-    if dt <= 0.0:
-        return 0.0
-    delta = now - before
-    if delta < 0.0:
-        delta = now
-    return delta / dt
-
-
-def _latency_from_history(
-    history: Optional[Dict[str, object]]
-) -> Dict[str, float]:
-    points = (history or {}).get("points") or []
-    if not points:
-        return {"p50_s": 0.0, "p95_s": 0.0, "count": 0}
-    row = ((points[-1].get("histograms") or {}).get(_LATENCY)) or {}
-    try:
-        return {
-            "p50_s": float(row.get("p50", 0.0)),
-            "p95_s": float(row.get("p95", 0.0)),
-            "count": int(row.get("count", 0)),
-        }
-    except (TypeError, ValueError):
-        return {"p50_s": 0.0, "p95_s": 0.0, "count": 0}
-
-
-def _last_point(
-    history: Optional[Dict[str, object]]
-) -> Dict[str, object]:
-    points = (history or {}).get("points") or []
-    return points[-1] if points else {}
-
-
 def _cache_hit_rate(point: Dict[str, object]) -> Optional[float]:
     counters = point.get("counters") or {}
     try:
@@ -187,7 +141,20 @@ def peer_row(
     history = scrape.get("history")
     fabricz = scrape.get("fabricz")
     firing = _firing_names(scrape.get("alertz"))
-    point = _last_point(history)
+    points = (history or {}).get("points") or []
+    point = points[-1] if points else {}
+    try:
+        rate_rps = rate(points[-2:], _REQUESTS)
+    except (KeyError, TypeError, ValueError):
+        rate_rps = None
+    try:
+        latency = {
+            "p50_s": resolve_metric(point, f"{_LATENCY}.p50") or 0.0,
+            "p95_s": resolve_metric(point, f"{_LATENCY}.p95") or 0.0,
+            "count": int(resolve_metric(point, f"{_LATENCY}.count") or 0),
+        }
+    except (TypeError, ValueError):
+        latency = {"p50_s": 0.0, "p95_s": 0.0, "count": 0}
     row: Dict[str, object] = {
         "url": url,
         "state": "degraded" if firing else "up",
@@ -198,8 +165,8 @@ def peer_row(
         "errors": healthz.get("errors"),
         "in_flight": healthz.get("in_flight"),
         "designs": healthz.get("designs_loaded"),
-        "rate_rps": round(_rate_from_history(history), 3),
-        "latency": _latency_from_history(history),
+        "rate_rps": round(rate_rps or 0.0, 3),
+        "latency": latency,
         "cache_hit_rate": _cache_hit_rate(point),
         "alerts_firing": firing,
     }

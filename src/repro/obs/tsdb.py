@@ -23,6 +23,13 @@ Full bucket vectors stay out of the ring so a day of 5-second cadence
 (17k points) is still only a few MB.  Use :meth:`MetricsHistory.start`
 for the self-driving background thread (the daemon does), or call
 :meth:`record` from an existing loop.
+
+Every value derived from a list of points -- a counter's increase, its
+rate, the per-interval trend -- comes from :func:`increases`,
+:func:`increase` and :func:`rate` here, so ``repro-sta top``, the fleet
+view and the alert engine share one counter-reset rule.  They are plain
+functions over point lists because ``top`` and the fleet read history
+documents fetched from other processes.
 """
 
 from __future__ import annotations
@@ -30,11 +37,18 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.obs.recorder import Recorder
 
-__all__ = ["HISTORY_SCHEMA", "MetricsHistory", "resolve_metric"]
+__all__ = [
+    "HISTORY_SCHEMA",
+    "MetricsHistory",
+    "increase",
+    "increases",
+    "rate",
+    "resolve_metric",
+]
 
 #: Schema identifier of a serialised history document.
 HISTORY_SCHEMA = "repro.metrics.history/1"
@@ -63,6 +77,41 @@ def resolve_metric(point: Dict[str, object], name: str) -> Optional[float]:
         if row is not None and field in row:
             return float(row[field])
     return None
+
+
+def increases(points: Sequence[Dict[str, object]], name: str) -> List[float]:
+    """A counter's rise over each interval between consecutive points.
+
+    The one counter-reset rule: a value lower than the one before means
+    the process restarted and the counter began again from zero, so the
+    later value counts whole (Prometheus ``increase()`` semantics).  A
+    point that lacks the metric reads as zero -- counters are created
+    on their first increment -- so it adds nothing itself and the next
+    present value counts whole, like a restart.
+    """
+    values = [resolve_metric(point, name) or 0.0 for point in points]
+    return [
+        later - earlier if later >= earlier else later
+        for earlier, later in zip(values, values[1:])
+    ]
+
+
+def increase(points: Sequence[Dict[str, object]], name: str) -> float:
+    """A counter's total rise over ``points`` (see :func:`increases`)."""
+    return sum(increases(points, name), 0.0)
+
+
+def rate(points: Sequence[Dict[str, object]], name: str) -> Optional[float]:
+    """:func:`increase` per second of the points' ``ts`` span.
+
+    ``None`` for fewer than two points or a non-positive span.
+    """
+    if len(points) < 2:
+        return None
+    span = float(points[-1]["ts"]) - float(points[0]["ts"])
+    if span <= 0.0:
+        return None
+    return increase(points, name) / span
 
 
 class MetricsHistory:

@@ -270,8 +270,8 @@ class TimingDaemon:
         Size of the bounded request-dispatch thread pool.  Connections
         pipeline onto it (responses still stream back in request
         order), so one slow cold analysis no longer head-of-line-blocks
-        requests for unrelated designs on other connections.  ``0``
-        dispatches inline on the connection thread (PR-3 behaviour).
+        requests for unrelated designs on other connections.  Must be
+        at least 1.
     snapshot_reads:
         Enable the lock-free analyze read path: repeat ``analyze``
         requests with no intervening mutation answer straight from the
@@ -436,11 +436,12 @@ class TimingDaemon:
         self._designs_lock = threading.Lock()
         self._state_lock = threading.Lock()  # requests/errors/in_flight
         self._local = threading.local()
-        #: Request-dispatch pool size (``0`` dispatches inline on the
-        #: connection thread, PR-3 style).  Connections pipeline: the
+        #: Request-dispatch pool size.  Connections pipeline: the
         #: reader submits every parsed line to the pool and a writer
         #: thread streams responses back in request order.
-        self.workers = max(0, int(workers))
+        if int(workers) < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        self.workers = int(workers)
         #: Lock-free snapshot read path enabled?  ``False`` forces every
         #: analyze through the per-design lock (the locked baseline the
         #: ``snapshot_read_concurrency`` bench compares against).
@@ -504,21 +505,9 @@ class TimingDaemon:
                     return False
                 return True
 
-            def _handle_inline(self) -> None:  # workers=0: PR-3 loop
-                while True:
-                    line = self.rfile.readline()
-                    if not line:
-                        return
-                    line = line.strip()
-                    if not line:
-                        continue
-                    if not self._write(daemon.handle_line(line)):
-                        return
-
             def handle(self) -> None:  # one connection, many requests
                 pool = daemon._pool
-                if pool is None:
-                    self._handle_inline()
+                if pool is None:  # daemon stopping
                     return
                 # Pipelined dispatch: the connection thread reads and
                 # submits, a writer thread streams completed responses
@@ -1053,7 +1042,7 @@ class TimingDaemon:
             )
 
     def _start_pool(self) -> None:
-        if self.workers > 0 and self._pool is None:
+        if self._pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
             self._pool = ThreadPoolExecutor(

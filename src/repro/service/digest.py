@@ -23,6 +23,8 @@ import hashlib
 import json
 from typing import Dict, Mapping, Optional
 
+from repro.core.clusters import ARTIFACT_SCHEMA
+
 __all__ = [
     "ARTIFACT_SCHEMA_VERSION",
     "PAYLOAD_SCHEMA_VERSION",
@@ -40,10 +42,11 @@ __all__ = [
 #: every existing cache entry (their keys no longer match).
 PAYLOAD_SCHEMA_VERSION = 1
 
-#: Version of the per-cluster artifact format (``repro.clusterart/1``);
-#: folded into :func:`cluster_digest` so a format change invalidates
-#: every old sub-key instead of mis-reading it.
-ARTIFACT_SCHEMA_VERSION = 1
+#: Version of the per-cluster artifact format, read off
+#: :data:`repro.core.clusters.ARTIFACT_SCHEMA`; folded into
+#: :func:`cluster_digest` so a format change invalidates every old
+#: sub-key instead of mis-reading it.
+ARTIFACT_SCHEMA_VERSION = int(ARTIFACT_SCHEMA.rpartition("/")[2])
 
 
 def canonical_json(data: object) -> str:

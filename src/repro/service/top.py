@@ -12,10 +12,10 @@ Split in two so the interesting part is testable without a terminal:
 
 The renderer derives everything from daemon telemetry:
 
-* request throughput (``requests`` delta between frames / elapsed),
+* request throughput (``requests`` increase between frames / elapsed),
 * p50/p95 request, handle and queue-wait latency from the
   ``service.daemon.*_seconds`` histogram buckets
-  (:func:`repro.obs.hist.quantile_from_counts` -- same linear
+  (:meth:`repro.obs.hist.HistogramStats.quantile` -- same linear
   interpolation Prometheus' ``histogram_quantile`` uses),
 * cache hit rate, per-design warm/in-flight table, worker liveness,
 * trend sparklines from the daemon's metrics ring buffer (the
@@ -24,11 +24,12 @@ The renderer derives everything from daemon telemetry:
 * alert banners from the in-daemon alert engine (the ``alerts`` op):
   pending/firing rules render at the top of the frame, and a daemon
   restart (new pid or uptime going backwards) gets an explicit
-  "daemon restarted (uptime reset)" notice instead of silently
-  negative deltas -- rates and trends *rebase* across the reset: the
-  post-restart counter value is itself the delta since the restart,
-  so the dashboard shows the true restart-window rate instead of a
-  misleading zero.
+  "daemon restarted (uptime reset)" notice.
+
+Rates and trends follow the counter-reset rule of
+:func:`repro.obs.tsdb.increases`: across a restart the post-restart
+count is itself the increase, so the dashboard shows the true
+restart-window rate instead of a misleading zero.
 
 ``repro-sta top --json`` skips the renderer entirely and emits
 :func:`json_frame` -- one machine-readable JSON object per refresh with
@@ -44,12 +45,16 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.hist import quantile_from_counts
+from repro.obs.hist import HistogramStats
+from repro.obs.tsdb import increases, rate, resolve_metric
 
 __all__ = ["fetch_frame", "json_frame", "render_top", "sparkline"]
 
 #: Eight-level bar glyphs, lowest to highest.
 _SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
+
+#: Counter behind the request rate and its trend.
+_REQUESTS = "service.daemon.requests"
 
 #: Histograms rendered in the latency block, in display order.
 _LATENCY_ROWS = (
@@ -112,10 +117,8 @@ def _history_series(
 ) -> Optional[Dict[str, List[float]]]:
     """Derived trend series from the frame's history sub-document.
 
-    * ``rate``: per-interval deltas of ``service.daemon.requests``
-      (rebased across daemon restarts: a backwards step means the
-      counter reset, so the new absolute value *is* the delta since
-      the restart),
+    * ``rate``: per-interval :func:`~repro.obs.tsdb.increases` of
+      ``service.daemon.requests``,
     * ``p95``: ``service.daemon.request_seconds`` p95 per snapshot.
 
     Returns ``None`` when the daemon served no usable history.
@@ -126,23 +129,11 @@ def _history_series(
     points = history.get("points") or []
     if len(points) < 2:
         return None
-    requests = [
-        float((p.get("counters") or {}).get("service.daemon.requests", 0.0))
-        for p in points
-    ]
     p95 = [
-        float(
-            ((p.get("histograms") or {}).get(
-                "service.daemon.request_seconds"
-            ) or {}).get("p95", 0.0)
-        )
-        for p in points
+        resolve_metric(p, "service.daemon.request_seconds.p95") or 0.0
+        for p in points[1:]
     ]
-    rate = [
-        later - earlier if later >= earlier else later
-        for earlier, later in zip(requests, requests[1:])
-    ]
-    return {"rate": rate, "p95": p95[1:]}
+    return {"rate": increases(points, _REQUESTS), "p95": p95}
 
 
 def _fmt_seconds(value: Optional[float]) -> str:
@@ -167,51 +158,36 @@ def _fmt_uptime(seconds: float) -> str:
 
 
 def _quantiles(histogram: Dict[str, object]) -> Dict[str, float]:
-    bounds = list(histogram.get("bounds") or ())
-    counts = list(histogram.get("counts") or ())
-    if not bounds or len(counts) != len(bounds) + 1:
+    try:
+        stats = HistogramStats.from_dict(histogram)
+    except (KeyError, TypeError, ValueError):
         return {}
-    # The observed max clamps quantiles landing in the +Inf overflow
-    # bucket, so p50/p95 stay finite even when every sample exceeded
-    # the last bound (e.g. all requests slower than 60s).
-    overflow = (
-        float(histogram["max"]) if histogram.get("count") else None
-    ) if "max" in histogram else None
     return {
-        "p50": quantile_from_counts(bounds, counts, 0.50, overflow=overflow),
-        "p95": quantile_from_counts(bounds, counts, 0.95, overflow=overflow),
-        "count": float(histogram.get("count", 0)),
-        "mean": (
-            float(histogram.get("sum", 0.0)) / float(histogram["count"])
-            if histogram.get("count")
-            else 0.0
-        ),
-        "max": float(histogram.get("max", 0.0)),
+        "p50": stats.quantile(0.50),
+        "p95": stats.quantile(0.95),
+        "count": float(stats.count),
+        "mean": stats.mean,
+        "max": stats.maximum if stats.count else 0.0,
     }
 
 
 def _rate(
     frame: Dict[str, object], previous: Optional[Dict[str, object]]
 ) -> Optional[float]:
-    """Requests per second between two frames (``None`` on frame 1).
-
-    A backwards count means the daemon restarted mid-window; the new
-    absolute count is then the delta since the restart (rebase), so a
-    restarted-but-busy daemon shows its real rate, not a stale zero.
-    """
+    """Requests per second between two frames (``None`` on frame 1)."""
     if not previous:
         return None
     try:
-        dt = float(frame["ts"]) - float(previous["ts"])
-        now = int(frame["health"]["requests"])
-        dreq = now - int(previous["health"]["requests"])
+        points = [
+            {
+                "ts": float(f["ts"]),
+                "counters": {_REQUESTS: int(f["health"]["requests"])},
+            }
+            for f in (previous, frame)
+        ]
     except (KeyError, TypeError, ValueError):
         return None
-    if dt <= 0.0:
-        return None
-    if dreq < 0:
-        dreq = now
-    return max(0.0, dreq / dt)
+    return rate(points, _REQUESTS)
 
 
 def _restarted(
@@ -220,9 +196,9 @@ def _restarted(
     """Did the daemon restart between ``previous`` and ``frame``?
 
     A new pid or an uptime that went *backwards* both mean the process
-    we were watching is gone; counters reset to zero, so naive deltas
-    would go negative (the rate/trend helpers already clamp at zero --
-    this just lets the renderer say *why*).
+    we were watching is gone and its counters began again from zero
+    (the rate/trend helpers already count across that -- this just lets
+    the renderer say *why*).
     """
     if not previous:
         return False

@@ -28,6 +28,12 @@ class TestTableDelay:
         samples = [table.at_load(x / 2) for x in range(0, 20)]
         assert samples == sorted(samples)
 
+    def test_flat_segment_over_subnormal_span_stays_finite(self):
+        # The span is so small that (load - low) / span overflows to
+        # inf; a flat segment must still answer its delay, not NaN.
+        table = TableDelay((0.0, 2.2250738585e-313), (0.1, 0.1))
+        assert table.at_load(1.0) == 0.1
+
     def test_validation(self):
         with pytest.raises(ValueError, match="equal length"):
             TableDelay((0.0, 1.0), (1.0,))

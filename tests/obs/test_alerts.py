@@ -221,7 +221,8 @@ class TestBurnRateRules:
                 _point(30.0, counters={"errors": 1, "requests": 200}),
             ]
         )
-        # errors delta clamps to 0 => ratio 0, no fire.
+        # The errors drop 50 -> 1 is a restart, so the later value
+        # counts whole: errors rise 1 over requests 100 => 0.01, no fire.
         assert engine.evaluate(history, now=30.0) == []
 
     def test_single_point_window_is_inconclusive(self):

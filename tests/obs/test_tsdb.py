@@ -5,9 +5,23 @@ from __future__ import annotations
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import obs
-from repro.obs.tsdb import HISTORY_SCHEMA, MetricsHistory, resolve_metric
+from repro.obs.alerts import AlertEngine, AlertRule
+from repro.obs.fleet import peer_row
+from repro.obs.tsdb import (
+    HISTORY_SCHEMA,
+    MetricsHistory,
+    increase,
+    increases,
+    rate,
+    resolve_metric,
+)
+from repro.service.top import json_frame
+
+_REQUESTS = "service.daemon.requests"
 
 
 @pytest.fixture(autouse=True)
@@ -260,3 +274,144 @@ class TestStartHooks:
             finally:
                 history.stop()
         assert len(history) >= 2
+
+
+def _counter_points(counts, ts0=1000.0, dt=5.0):
+    """History points of one counter, ``dt`` seconds apart; a
+    ``seconds`` counter tracks elapsed time as a burn-rate denominator."""
+    return [
+        {
+            "ts": ts0 + dt * index,
+            "counters": {_REQUESTS: count, "seconds": dt * index},
+            "gauges": {},
+            "histograms": {},
+        }
+        for index, count in enumerate(counts)
+    ]
+
+
+@st.composite
+def _restarting_traces(draw):
+    """A counter trace with random restarts, plus its true event count.
+
+    Each step either counts some events or restarts the process: the
+    counter drops to a fresh count (lower than before, so the restart
+    is visible) made of the events since the restart.
+    """
+    ts = draw(st.floats(min_value=0.0, max_value=1e6))
+    value = draw(st.integers(min_value=0, max_value=1000))
+    points = [{"ts": ts, "counters": {_REQUESTS: value}}]
+    events = 0
+    for _ in range(draw(st.integers(min_value=1, max_value=20))):
+        ts += draw(st.floats(min_value=0.001, max_value=100.0))
+        if value and draw(st.booleans()):
+            value = draw(st.integers(min_value=0, max_value=value - 1))
+            events += value
+        else:
+            step = draw(st.integers(min_value=0, max_value=1000))
+            value += step
+            events += step
+        points.append({"ts": ts, "counters": {_REQUESTS: value}})
+    return points, events
+
+
+class TestDerivations:
+    def test_restart_counts_the_later_value_whole(self):
+        points = _counter_points([10, 25, 4, 9])
+        assert increases(points, _REQUESTS) == [15.0, 4.0, 5.0]
+        assert increase(points, _REQUESTS) == 24.0
+        assert rate(points, _REQUESTS) == pytest.approx(24.0 / 15.0)
+
+    def test_absent_counter_reads_as_zero(self):
+        points = _counter_points([3, 5])
+        del points[0]["counters"][_REQUESTS]
+        assert increases(points, _REQUESTS) == [5.0]
+        assert increase(points, "never.seen") == 0.0
+
+    def test_rate_needs_two_points_and_a_positive_span(self):
+        points = _counter_points([1, 2])
+        assert rate(points[:1], _REQUESTS) is None
+        assert rate([], _REQUESTS) is None
+        assert rate(_counter_points([1, 2], dt=0.0), _REQUESTS) is None
+        assert increase([], _REQUESTS) == 0.0
+
+    @given(_restarting_traces())
+    def test_increase_counts_every_event_across_restarts(self, trace):
+        points, events = trace
+        assert increase(points, _REQUESTS) == events
+        span = points[-1]["ts"] - points[0]["ts"]
+        assert rate(points, _REQUESTS) == events / span
+
+
+def _top_frame_rates(points):
+    frames = [
+        {"ts": p["ts"], "health": {"requests": p["counters"][_REQUESTS]}}
+        for p in points
+    ]
+    return [
+        json_frame(frame, previous)["derived"]["rate_rps"]
+        for previous, frame in zip(frames, frames[1:])
+    ]
+
+
+def _top_trend_rates(points):
+    frame = {"ts": 0.0, "history": {"ok": True, "points": points}}
+    trend = json_frame(frame)["derived"]["trends"]["rate"]
+    return [value / 5.0 for value in trend]
+
+
+def _fleet_rates(points):
+    # A peer row rates the two newest points of the scraped history.
+    scrapes = [
+        {"ok": True, "history": {"points": points[:end]}}
+        for end in range(2, len(points) + 1)
+    ]
+    return [peer_row("http://a:1", scrape)["rate_rps"] for scrape in scrapes]
+
+
+def _burn_rates(points):
+    rule = AlertRule(
+        name="requests_per_second",
+        kind="burn_rate",
+        numerator=_REQUESTS,
+        denominator="seconds",
+        threshold=0.0,
+        window_s=1e9,
+        min_denominator=1.0,
+    )
+    values = []
+    for start in range(len(points) - 1):
+        history = MetricsHistory(capacity=2)
+        history._points.extend(points[start:start + 2])
+        changed = AlertEngine([rule]).evaluate(history, now=points[-1]["ts"])
+        values.append(changed[0]["value"])
+    return values
+
+
+class TestOneCounterRule:
+    """``top``, the fleet view and burn-rate alerts read one rule."""
+
+    @pytest.mark.parametrize(
+        "consumer",
+        [_top_frame_rates, _top_trend_rates, _fleet_rates, _burn_rates],
+        ids=["top-frames", "top-trend", "fleet", "burn-rate"],
+    )
+    def test_restart_trace(self, consumer):
+        # 10 -> 25 -> 4 (restart) -> 9, five seconds apart.
+        points = _counter_points([10, 25, 4, 9])
+        expected = [value / 5.0 for value in increases(points, _REQUESTS)]
+        assert expected == [3.0, 0.8, 1.0]
+        assert consumer(points) == pytest.approx(expected)
+
+    def test_burn_rate_window_sums_every_interval(self):
+        # Over the whole window the first and last counts (10 -> 9)
+        # alone would read as no traffic; the rule sums the intervals.
+        points = _counter_points([10, 25, 4, 9])
+        history = MetricsHistory(capacity=4)
+        history._points.extend(points)
+        rule = AlertRule(
+            name="r", kind="burn_rate", numerator=_REQUESTS,
+            denominator="seconds", window_s=1e9,
+        )
+        changed = AlertEngine([rule]).evaluate(history, now=1015.0)
+        assert changed[0]["value"] == round(rate(points, _REQUESTS), 6)

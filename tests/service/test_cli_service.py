@@ -222,3 +222,18 @@ class TestServeCommand:
             with pytest.raises(SystemExit):
                 parser.parse_args(["serve", "--socket", "s.sock", *flag])
             parser.parse_args(["batch", "jobs.json", *flag])
+
+    def test_serve_refuses_zero_workers(self, tmp_path):
+        """Dispatch always runs on the thread pool: ``--workers`` must
+        be at least 1, on the CLI and on the daemon itself."""
+        parser = build_parser()
+        for count in ("0", "-1"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(
+                    ["serve", "--socket", "s.sock", "--workers", count]
+                )
+        assert parser.parse_args(
+            ["serve", "--socket", "s.sock", "--workers", "1"]
+        ).workers == 1
+        with pytest.raises(ValueError):
+            TimingDaemon(str(tmp_path / "d.sock"), workers=0)

@@ -30,6 +30,7 @@ from repro.service import (
     TimingDaemon,
     build_cluster_map,
 )
+from repro.service.digest import ARTIFACT_SCHEMA_VERSION
 
 CONFIG_SHA = "a" * 64
 
@@ -106,6 +107,25 @@ class TestClusterDigest:
             network, schedule.scaled(2), delays, CONFIG_SHA
         )
         assert all(a.keys[name] != b.keys[name] for name in a.keys)
+
+    def test_artifact_version_follows_schema_and_keys_are_pinned(
+        self, design
+    ):
+        """The digest's artifact version is read off ``ARTIFACT_SCHEMA``,
+        and the cache addresses of a fixed design do not move."""
+        assert ARTIFACT_SCHEMA_VERSION == int(ARTIFACT_SCHEMA.split("/")[1])
+        network, schedule = design
+        keys = build_cluster_map(
+            network, schedule, estimate_delays(network), CONFIG_SHA
+        ).keys
+        assert keys["cluster_0"] == (
+            "87b8512ce55427ab0ec0cf5bf0414d94"
+            "43c16f9ea0f6ad48204a1f5c5ac59d75"
+        )
+        assert keys["cluster_net_s3_q"] == (
+            "555716febd7dfbef811916154d67e9aa"
+            "d6ab97ad4487307b74830ca57ae637a2"
+        )
 
 
 class TestClusterMap:
