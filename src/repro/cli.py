@@ -568,7 +568,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache=_make_cache(args),
         cache_server=cache_server,
         slow_path_limit=args.limit,
-        telemetry=not args.no_telemetry,
         http_port=args.http_port,
         access_log=access_log,
         slow_threshold_s=args.slow_threshold,
@@ -1369,12 +1368,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="requests at least this slow get their full span tree "
         "attached to the access-log line (default: 1.0)",
-    )
-    telemetry.add_argument(
-        "--no-telemetry",
-        action="store_true",
-        help="disable the always-on service recorder (health stays, "
-        "metrics op and /metrics refuse)",
     )
     telemetry.add_argument(
         "--profile",

@@ -221,6 +221,19 @@ class _DesignState:
 class TimingDaemon:
     """Long-lived analyze/what-if/report engine on a Unix socket.
 
+    There is one configuration of the always-on layers: the service
+    recorder, metrics history, alert engine and flight ring are always
+    built, so ``metrics``, ``history``, ``alerts`` and ``flight``
+    always answer.  Their request-path cost is attributed on this
+    daemon as shipped (``benchmarks/run_bench.py``): the
+    ``service_telemetry_overhead`` bench times the ``_counter``/
+    ``_gauge``/``_histogram`` call sites, ``watchdog_overhead`` the
+    watchdog's ``track``/``annotate``/``untrack`` plus
+    ``flight.record_request``, each against the warm ``analyze`` round
+    trip; each reads about 5-6 % on the quick pipeline.  The history
+    tick and the watchdog scan run on their own threads, off the
+    request path, and are not attributed.
+
     Parameters
     ----------
     socket_path:
@@ -229,10 +242,6 @@ class TimingDaemon:
         Optional :class:`ResultCache` short-circuiting cold loads.
     slow_path_limit:
         Default ``analyze`` slow-path limit.
-    telemetry:
-        Keep an always-on service :class:`repro.obs.Recorder` feeding
-        the ``health``/``metrics`` ops and the HTTP sidecar (default
-        on; ``False`` strips the daemon back to PR-3 behaviour).
     http_port:
         When not ``None``, serve ``/healthz`` and ``/metrics`` over
         localhost HTTP on this port (``0`` picks an ephemeral port;
@@ -249,7 +258,7 @@ class TimingDaemon:
         a path to a TOML/JSON rule file (extends/overrides the
         defaults), or an explicit rule sequence.
     flight_capacity:
-        Events kept in the always-on flight ring (0 disables it).
+        Events kept in the always-on flight ring (at least 1).
     crash_dir:
         Directory ``repro.crash/1`` reports are written to (``None``
         keeps the last report in memory only).
@@ -285,7 +294,6 @@ class TimingDaemon:
         socket_path: Union[str, "os.PathLike[str]"],
         cache: Optional[ResultCache] = None,
         slow_path_limit: Optional[int] = 50,
-        telemetry: bool = True,
         http_port: Optional[int] = None,
         access_log: Union[None, str, "os.PathLike[str]", AccessLog] = None,
         slow_threshold_s: float = 1.0,
@@ -348,58 +356,38 @@ class TimingDaemon:
         self.errors = 0
         self.in_flight = 0
         self.last_error: Optional[Dict[str, object]] = None
-        #: Always-on service recorder (``None`` with telemetry off).
-        self.recorder: Optional[obs.Recorder] = (
-            obs.Recorder(max_spans=10_000, max_events=2_000)
-            if telemetry
-            else None
-        )
-        #: Always-on metrics ring buffer (requires the service recorder).
-        self.history: Optional[MetricsHistory] = (
-            MetricsHistory(
-                capacity=history_capacity, interval_s=history_interval_s
+        if int(flight_capacity) < 1:
+            raise ValueError(
+                f"flight_capacity must be >= 1, got {flight_capacity}"
             )
-            if telemetry
-            else None
+        #: Always-on service recorder.
+        self.recorder = obs.Recorder(max_spans=10_000, max_events=2_000)
+        #: Always-on metrics ring buffer fed from the service recorder.
+        self.history = MetricsHistory(
+            capacity=history_capacity, interval_s=history_interval_s
         )
-        #: Always-on flight ring of recent requests/spans/errors
-        #: (``None`` with telemetry off or ``flight_capacity=0``).
-        self.flight: Optional[FlightRecorder] = (
-            FlightRecorder(capacity=flight_capacity)
-            if telemetry and flight_capacity > 0
-            else None
-        )
-        if self.flight is not None and self.recorder is not None:
-            self.flight.subscribe_spans(self.recorder)
-        #: Declarative alerting over the metrics history (``None`` with
-        #: telemetry off).
-        if telemetry:
-            if alert_rules is None:
-                rules: Optional[Iterable[AlertRule]] = None
-            elif isinstance(alert_rules, (str, os.PathLike)):
-                rules = load_rules(alert_rules)
-            else:
-                rules = tuple(alert_rules)
-            self.alerts: Optional[AlertEngine] = AlertEngine(
-                rules, on_transition=self._on_alert_transition
-            )
+        #: Always-on flight ring of recent requests/spans/errors.
+        self.flight = FlightRecorder(capacity=int(flight_capacity))
+        self.flight.subscribe_spans(self.recorder)
+        #: Declarative alerting over the metrics history.
+        if alert_rules is None:
+            rules: Optional[Iterable[AlertRule]] = None
+        elif isinstance(alert_rules, (str, os.PathLike)):
+            rules = load_rules(alert_rules)
         else:
-            self.alerts = None
+            rules = tuple(alert_rules)
+        self.alerts = AlertEngine(
+            rules, on_transition=self._on_alert_transition
+        )
         #: Crash forensics: builds/persists ``repro.crash/1`` reports.
-        #: Always constructed -- a stripped-down daemon still deserves a
-        #: postmortem (the report simply embeds no flight ring/alerts).
         self.crash = CrashHandler(
             crash_dir=crash_dir,
             flight=self.flight,
-            alerts=(
-                (lambda: self.alerts.active())
-                if self.alerts is not None
-                else None
-            ),
+            alerts=self.alerts.active,
             buildinfo=self._buildinfo,
         )
         self._install_crash_hooks = bool(install_crash_hooks)
-        #: Stall watchdog (``None`` with telemetry off or no deadline).
+        #: Stall watchdog (``None`` with no deadline).
         self.watchdog: Optional[StallWatchdog] = (
             StallWatchdog(
                 deadline_s=stall_timeout_s,
@@ -407,7 +395,7 @@ class TimingDaemon:
                 on_clear=self._on_stall_clear,
                 on_all_clear=self._on_all_stalls_clear,
             )
-            if telemetry and stall_timeout_s is not None
+            if stall_timeout_s is not None
             else None
         )
         self.debug_ops = bool(debug_ops) or (
@@ -455,13 +443,11 @@ class TimingDaemon:
     # ------------------------------------------------------------------
     def _counter(self, name: str, value: float = 1.0) -> None:
         """Count into the service recorder *and* any ambient recorder."""
-        if self.recorder is not None:
-            self.recorder.counter(name, value)
+        self.recorder.counter(name, value)
         obs.counter(name, value)
 
     def _gauge(self, name: str, value: float) -> None:
-        if self.recorder is not None:
-            self.recorder.gauge(name, value)
+        self.recorder.gauge(name, value)
         obs.gauge(name, value)
 
     def _histogram(
@@ -470,10 +456,9 @@ class TimingDaemon:
         value: float,
         exemplar: Optional[Dict[str, object]] = None,
     ) -> None:
-        if self.recorder is not None:
-            self.recorder.histogram(
-                name, value, LATENCY_BUCKETS, exemplar=exemplar
-            )
+        self.recorder.histogram(
+            name, value, LATENCY_BUCKETS, exemplar=exemplar
+        )
         obs.histogram(name, value, LATENCY_BUCKETS, exemplar=exemplar)
 
     # ------------------------------------------------------------------
@@ -599,16 +584,15 @@ class TimingDaemon:
         self._sidecar.start()
 
     def _start_history(self) -> None:
-        if self.history is not None and self.recorder is not None:
-            if not self.history.running:
-                # Gauges sync just before each snapshot (so every point
-                # carries them) and the alert engine evaluates just
-                # after (so alerting shares the history cadence).
-                self.history.start(
-                    self.recorder,
-                    before_point=self._history_tick,
-                    on_point=self._evaluate_alerts,
-                )
+        if not self.history.running:
+            # Gauges sync just before each snapshot (so every point
+            # carries them) and the alert engine evaluates just after
+            # (so alerting shares the history cadence).
+            self.history.start(
+                self.recorder,
+                before_point=self._history_tick,
+                on_point=self._evaluate_alerts,
+            )
 
     def _history_tick(self) -> None:
         """Per-snapshot work: probe the fabric, then refresh gauges.
@@ -645,16 +629,12 @@ class TimingDaemon:
             self.watchdog.start()
         if self._install_crash_hooks:
             self.crash.install()
-        if self.flight is not None:
-            self.flight.record_log(
-                "daemon started",
-                pid=os.getpid(),
-                socket=self.socket_path,
-            )
+        self.flight.record_log(
+            "daemon started", pid=os.getpid(), socket=self.socket_path
+        )
 
     def _evaluate_alerts(self, point: Dict[str, object]) -> None:
-        if self.alerts is not None and self.history is not None:
-            self.alerts.evaluate(self.history)
+        self.alerts.evaluate(self.history)
 
     # ------------------------------------------------------------------
     # self-diagnosis hooks (alert transitions, stalls)
@@ -665,54 +645,47 @@ class TimingDaemon:
         self._counter("service.alerts.transitions")
         if new == "firing":
             self._counter("service.alerts.fired")
-        if self.flight is not None:
-            self.flight.record(
-                "log",
-                message=f"alert {rule.name}: {old} -> {new}",
-                alert=rule.name,
-                state=new,
-                severity=rule.severity,
-            )
+        self.flight.record(
+            "log",
+            message=f"alert {rule.name}: {old} -> {new}",
+            alert=rule.name,
+            state=new,
+            severity=rule.severity,
+        )
 
     def _on_stall(self, info: Dict[str, object]) -> None:
         waited = float(info.get("waited_s") or 0.0)
         self._counter("service.daemon.stalls")
-        if self.flight is not None:
-            self.flight.record(
-                "stall",
-                op=info.get("op"),
-                design=info.get("design"),
-                status="stalled",
-                waited_s=round(waited, 3),
-                thread_id=info.get("thread_id"),
-                stack=info.get("stack"),
-            )
-        if self.alerts is not None:
-            self.alerts.fire(
-                "daemon.stalled",
-                message=(
-                    f"op {info.get('op') or '?'} in flight "
-                    f"{waited:.1f}s (deadline "
-                    f"{self.watchdog.deadline_s:g}s)"
-                    if self.watchdog is not None
-                    else f"op {info.get('op') or '?'} stalled"
-                ),
-                value=round(waited, 3),
-            )
+        self.flight.record(
+            "stall",
+            op=info.get("op"),
+            design=info.get("design"),
+            status="stalled",
+            waited_s=round(waited, 3),
+            thread_id=info.get("thread_id"),
+            stack=info.get("stack"),
+        )
+        self.alerts.fire(
+            "daemon.stalled",
+            message=(
+                f"op {info.get('op') or '?'} in flight "
+                f"{waited:.1f}s (deadline "
+                f"{self.watchdog.deadline_s:g}s)"
+            ),
+            value=round(waited, 3),
+        )
 
     def _on_stall_clear(self, info: Dict[str, object]) -> None:
-        if self.flight is not None:
-            self.flight.record(
-                "stall",
-                op=info.get("op"),
-                design=info.get("design"),
-                status="resolved",
-                waited_s=round(float(info.get("waited_s") or 0.0), 3),
-            )
+        self.flight.record(
+            "stall",
+            op=info.get("op"),
+            design=info.get("design"),
+            status="resolved",
+            waited_s=round(float(info.get("waited_s") or 0.0), 3),
+        )
 
     def _on_all_stalls_clear(self) -> None:
-        if self.alerts is not None:
-            self.alerts.clear("daemon.stalled")
+        self.alerts.clear("daemon.stalled")
 
     @property
     def http_address(self) -> Optional[Tuple[str, int]]:
@@ -729,8 +702,6 @@ class TimingDaemon:
     def _http_metrics(self, params: Dict[str, str]) -> Tuple[str, str]:
         from repro.obs.metrics import render_prometheus
 
-        if self.recorder is None:
-            raise RuntimeError("telemetry disabled (no service recorder)")
         self._sync_gauges()
         return (
             "text/plain; version=0.0.4",
@@ -738,8 +709,6 @@ class TimingDaemon:
         )
 
     def _http_history(self, params: Dict[str, str]) -> Tuple[str, str]:
-        if self.history is None:
-            raise RuntimeError("telemetry disabled (no metrics history)")
         last = None
         if "last" in params:
             try:
@@ -768,8 +737,6 @@ class TimingDaemon:
         return "application/json", body + "\n"
 
     def _http_alertz(self, params: Dict[str, str]) -> Tuple[str, str]:
-        if self.alerts is None:
-            raise RuntimeError("telemetry disabled (no alert engine)")
         body = json.dumps(
             {"ok": True, **self.alerts.to_dict()}, sort_keys=True
         )
@@ -791,8 +758,6 @@ class TimingDaemon:
         return "application/json", body + "\n"
 
     def _http_flightz(self, params: Dict[str, str]) -> Tuple[str, str]:
-        if self.flight is None:
-            raise RuntimeError("flight recorder disabled on this daemon")
         last = None
         if "last" in params:
             try:
@@ -904,23 +869,14 @@ class TimingDaemon:
             "uptime_s": round(time.time() - self.started_at, 3),
             "config": {
                 "socket": self.socket_path,
-                "telemetry": self.recorder is not None,
                 "result_cache": self.cache is not None,
                 "access_log": self.access_log is not None,
                 "slow_path_limit": self.slow_path_limit,
                 "slow_threshold_s": self.slow_threshold_s,
-                "history_interval_s": (
-                    self.history.interval_s if self.history else None
-                ),
-                "history_capacity": (
-                    self.history.capacity if self.history else None
-                ),
-                "alert_rules": (
-                    len(self.alerts.rules) if self.alerts else 0
-                ),
-                "flight_capacity": (
-                    self.flight.capacity if self.flight else 0
-                ),
+                "history_interval_s": self.history.interval_s,
+                "history_capacity": self.history.capacity,
+                "alert_rules": len(self.alerts.rules),
+                "flight_capacity": self.flight.capacity,
                 "crash_dir": (
                     str(self.crash.crash_dir)
                     if self.crash.crash_dir is not None
@@ -971,8 +927,6 @@ class TimingDaemon:
 
     def _sync_gauges(self) -> None:
         """Refresh point-in-time gauges before a metrics export."""
-        if self.recorder is None:
-            return
         with self._designs_lock:
             designs_loaded = len(self._designs)
             epoch_sum = sum(s.epoch for s in self._designs.values())
@@ -984,28 +938,17 @@ class TimingDaemon:
             "service.daemon.uptime_seconds",
             time.time() - self.started_at,
         )
-        if self.history is not None:
-            self.recorder.gauge(
-                "service.tsdb.points", len(self.history)
-            )
-            self.recorder.gauge(
-                "service.tsdb.snapshots", self.history.snapshots
-            )
+        self.recorder.gauge("service.tsdb.points", len(self.history))
+        self.recorder.gauge("service.tsdb.snapshots", self.history.snapshots)
         if self.watchdog is not None:
             self.recorder.gauge(
                 "service.daemon.stalled", self.watchdog.stalled_count()
             )
-        if self.flight is not None:
-            self.recorder.gauge(
-                "service.flight.events", len(self.flight)
-            )
-            self.recorder.gauge(
-                "service.flight.dropped", self.flight.dropped
-            )
-        if self.alerts is not None:
-            self.recorder.gauge(
-                "service.alerts.firing", self.alerts.firing_count()
-            )
+        self.recorder.gauge("service.flight.events", len(self.flight))
+        self.recorder.gauge("service.flight.dropped", self.flight.dropped)
+        self.recorder.gauge(
+            "service.alerts.firing", self.alerts.firing_count()
+        )
         if self.trace_store is not None:
             store_stats = self.trace_store.stats()
             self.recorder.gauge(
@@ -1121,8 +1064,7 @@ class TimingDaemon:
         server, self.cache_server = self.cache_server, None
         if server is not None:
             server.stop()
-        if self.history is not None:
-            self.history.stop()
+        self.history.stop()
         if self.watchdog is not None:
             self.watchdog.stop()
         self.crash.uninstall()
@@ -1224,13 +1166,12 @@ class TimingDaemon:
                     "ts": round(time.time(), 3),
                     "frames": error_doc["frames"],
                 }
-            if self.flight is not None:
-                self.flight.record(
-                    "error",
-                    op=op or None,
-                    design=getattr(local, "design", None),
-                    error=error_doc,
-                )
+            self.flight.record(
+                "error",
+                op=op or None,
+                design=getattr(local, "design", None),
+                error=error_doc,
+            )
             if not isinstance(exc, _EXPECTED_ERRORS):
                 # A bad request (unknown op, missing file, wrong type)
                 # is business as usual; anything else is a bug worth a
@@ -1301,15 +1242,14 @@ class TimingDaemon:
         self._histogram("service.daemon.handle_seconds", handle_s)
         if duration >= self.slow_threshold_s:
             self._counter("service.daemon.slow_requests")
-        if self.flight is not None:
-            self.flight.record_request(
-                op or "?",
-                getattr(local, "design", None),
-                status,
-                duration,
-                engine=getattr(local, "engine", None),
-                error_type=error_type,
-            )
+        self.flight.record_request(
+            op or "?",
+            getattr(local, "design", None),
+            status,
+            duration,
+            engine=getattr(local, "engine", None),
+            error_type=error_type,
+        )
         if self.access_log is not None:
             self.access_log.record(
                 "daemon",
@@ -1418,9 +1358,11 @@ class TimingDaemon:
             clocks_path=state.clocks,
             label=request.get("label"),
         )
-        if self.cache is not None:
+        if self.cache is not None and state.mutations == 0:
+            # Only an unmutated design's result is stored, so a mutated
+            # one skips the key (a full network digest).
             key = state.content_key(limit, tolerance)
-            if state.mutations == 0 and key not in self.cache:
+            if key not in self.cache:
                 self.cache.put(key, result.payload(), manifest)
         response = {
             "ok": True,
@@ -1505,7 +1447,6 @@ class TimingDaemon:
         return {
             "ok": True,
             "status": "ok",
-            "telemetry": self.recorder is not None,
             "http": list(self.http_address) if self.http_address else None,
             **self._snapshot(),
         }
@@ -1514,11 +1455,6 @@ class TimingDaemon:
         """The service recorder's contents: Prometheus text + JSON."""
         from repro.obs.metrics import metrics_dict, render_prometheus
 
-        if self.recorder is None:
-            raise ValueError(
-                "telemetry is disabled on this daemon (no service "
-                "recorder); restart without telemetry=False"
-            )
         self._sync_gauges()
         return {
             "ok": True,
@@ -1591,10 +1527,6 @@ class TimingDaemon:
 
     def _op_history(self, request: Dict[str, object]) -> Dict[str, object]:
         """The metrics ring buffer (``last`` trims to the newest N)."""
-        if self.history is None:
-            raise ValueError(
-                "telemetry is disabled on this daemon (no metrics history)"
-            )
         last = request.get("last")
         last = int(last) if last is not None else None
         self._counter("service.tsdb.reads")
@@ -1787,10 +1719,6 @@ class TimingDaemon:
         * ``ack`` (with ``name``) acknowledges a firing alert so
           dashboards can demote its banner without resolving it.
         """
-        if self.alerts is None:
-            raise ValueError(
-                "telemetry is disabled on this daemon (no alert engine)"
-            )
         action = str(request.get("action", "list"))
         if action == "list":
             return {"ok": True, **self.alerts.to_dict()}
@@ -1808,10 +1736,6 @@ class TimingDaemon:
 
     def _op_flight(self, request: Dict[str, object]) -> Dict[str, object]:
         """The flight ring (``last`` trims to the newest N events)."""
-        if self.flight is None:
-            raise ValueError(
-                "flight recorder is disabled on this daemon"
-            )
         last = request.get("last")
         last = int(last) if last is not None else None
         return {"ok": True, **self.flight.to_dict(last=last)}

@@ -197,8 +197,9 @@ class TestSeriesEdgeCases:
 
     def test_counter_reset_keeps_raw_values(self):
         # A daemon restart resets counters; the history stores raw
-        # values (consumers -- rate sparklines, burn-rate rules --
-        # clamp deltas at zero themselves).
+        # values (consumers derive increases through
+        # ``repro.obs.tsdb.increases``, where a drop means a restart
+        # and the later value counts whole).
         history = MetricsHistory(capacity=4)
         with obs.recording() as rec:
             obs.counter("requests", 5)

@@ -223,6 +223,13 @@ class TestServeCommand:
                 parser.parse_args(["serve", "--socket", "s.sock", *flag])
             parser.parse_args(["batch", "jobs.json", *flag])
 
+    @pytest.mark.parametrize("layer", ["telemetry", "flight"])
+    def test_serve_has_no_off_switch_for_always_on_layers(self, layer):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["serve", "--socket", "s.sock", f"--no-{layer}"]
+            )
+
     def test_serve_refuses_zero_workers(self, tmp_path):
         """Dispatch always runs on the thread pool: ``--workers`` must
         be at least 1, on the CLI and on the daemon itself."""

@@ -191,6 +191,30 @@ class TestServing:
         # A rebuilt engine starts cold again but still answers.
         assert answer["ok"] and "worst_slack" in answer
 
+    def test_mutate_analysis_computes_no_cache_key(
+        self, client, design_files, monkeypatch
+    ):
+        """A mutated design's result is never stored, so its inline
+        analysis must not pay for a content key (a full network
+        digest)."""
+        import repro.service.daemon as daemon_module
+
+        netlist, clocks = design_files
+        client.analyze(netlist, clocks)
+        digested = []
+        real = daemon_module.network_digest
+        monkeypatch.setattr(
+            daemon_module,
+            "network_digest",
+            lambda network: digested.append(network) or real(network),
+        )
+        response = client.mutate(
+            netlist, clocks, "scale_cell", cell="s1_i0", factor=1.5,
+            analyze=True,
+        )
+        assert response["analysis"]["ok"]
+        assert digested == []
+
 
 class TestSelfDiagnosis:
     """PR 7: alert engine, flight recorder, crash reports, watchdog."""
@@ -235,13 +259,12 @@ class TestSelfDiagnosis:
         response = c.alerts("explode")
         assert response["ok"] is False and "unknown" in response["error"]
 
-    def test_alerts_refused_without_telemetry(self, tmp_path):
-        sock = str(tmp_path / "notel.sock")
-        with TimingDaemon(sock, telemetry=False) as server:
-            assert server.alerts is None
+    def test_default_daemon_answers_every_diagnosis_op(self, tmp_path):
+        sock = str(tmp_path / "default.sock")
+        with TimingDaemon(sock):
             with DaemonClient(sock) as c:
-                response = c.alerts()
-        assert response["ok"] is False
+                responses = [c.metrics(), c.history(), c.alerts(), c.flight()]
+        assert [r["ok"] for r in responses] == [True] * 4
 
     # -- structured errors (satellite 1) -------------------------------
     def test_error_response_carries_frames(self, diag):
@@ -339,13 +362,12 @@ class TestSelfDiagnosis:
         trimmed = c.flight(last=2)
         assert len(trimmed["events"]) == 2
 
-    def test_flight_disabled_with_zero_capacity(self, tmp_path):
-        sock = str(tmp_path / "nofl.sock")
-        with TimingDaemon(sock, flight_capacity=0) as server:
-            assert server.flight is None
-            with DaemonClient(sock) as c:
-                response = c.flight()
-        assert response["ok"] is False
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_flight_ring_cannot_be_turned_off(self, tmp_path, capacity):
+        with pytest.raises(ValueError, match="flight_capacity"):
+            TimingDaemon(
+                str(tmp_path / "nofl.sock"), flight_capacity=capacity
+            )
 
     # -- debug ops gating ----------------------------------------------
     def test_debug_ops_refused_by_default(self, tmp_path, monkeypatch):
