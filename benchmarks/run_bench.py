@@ -796,24 +796,16 @@ def bench_watchdog_overhead(quick: bool) -> Dict[str, object]:
 
 @bench("collector_overhead")
 def bench_collector_overhead(quick: bool) -> Dict[str, object]:
-    """The PR-9 headline: the fleet observability plane -- the
-    tail-sampling trace store on the request tail plus an embedded
-    collector scraping the daemon's own sidecar every second -- must
-    cost <= 5% on warm analyze latency.
+    """What the fleet observability plane costs a warm analyze.
 
-    An A/B of two daemons (both with the HTTP sidecar), because the
-    ``off`` arm is a real configuration: trace store and collector are
-    deployment options.
-
-    * ``off`` -- sidecar only, no trace store, no collector;
-    * ``on``  -- ``--trace-dir`` at the default 5%% sample rate and a
-      ``serve --collect``-style :class:`FleetCollector` whose peers
-      file points back at this daemon.
-
-    The arms are *interleaved* (off, on, off, on) and each keeps the
-    minimum round trip across its passes (the deterministic latency
-    floor): host-load drift between passes otherwise swamps the
-    tens-of-microseconds delta under test.
+    Attribution on one daemon with the plane on, same method as
+    ``service_telemetry_overhead``: a tail-sampling trace store
+    (``--trace-dir`` at the default 5%% sample rate) and a
+    ``serve --collect``-style embedded :class:`FleetCollector` whose
+    peers file points back at the daemon's own sidecar.  The timed
+    call site is the request tail's ``trace_store.offer``.  The
+    collector's sweep and the sidecar scrapes it makes run on their own
+    threads, off the request path, and are not attributed.
     """
     import os
     import tempfile
@@ -831,35 +823,26 @@ def bench_collector_overhead(quick: bool) -> Dict[str, object]:
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         directory = Path(tmp)
-        off_s = on_s = float("inf")
-        swept = 0
-        for arm in range(2):
-            off = _warm_reads(directory, f"off{arm}", quick, http_port=0)
-            off_s = min(off_s, min(off["samples"]))
-            peers_file = directory / f"peers{arm}.txt"
-            peers_file.write_text("")
-            collector = FleetCollector(
-                peers_file, interval_s=1.0, timeout_s=1.0,
-                http_port=None,
-            )
-            on = _warm_reads(
-                directory,
-                f"on{arm}",
-                quick,
-                on_start=_point_collector_at_sidecar,
-                http_port=0,
-                trace_dir=directory / f"traces{arm}",
-                collector=collector,
-            )
-            on_s = min(on_s, min(on["samples"]))
-            swept += collector.health()["sweeps"]
-    overhead_pct = ((on_s - off_s) / off_s * 100.0) if off_s else 0.0
+        peers_file = directory / "peers.txt"
+        peers_file.write_text("")
+        collector = FleetCollector(
+            peers_file, interval_s=1.0, timeout_s=1.0, http_port=None
+        )
+        run = _warm_reads(
+            directory,
+            "plane",
+            quick,
+            sites=("trace_store.offer",),
+            on_start=_point_collector_at_sidecar,
+            http_port=0,
+            trace_dir=directory / "traces",
+            collector=collector,
+        )
+        sweeps = collector.health()["sweeps"]
     return {
-        "rounds": len(on["samples"]),
-        "warm_analyze_off_s": round(off_s, 6),
-        "warm_analyze_on_s": round(on_s, 6),
-        "overhead_pct": round(overhead_pct, 2),
-        "collector_sweeps": int(swept),
+        "rounds": len(run["samples"]),
+        **_attributed(run),
+        "collector_sweeps": int(sweeps),
     }
 
 

@@ -67,7 +67,9 @@ __all__ = [
     "AlertRule",
     "AlertEngine",
     "DEFAULT_RULES",
+    "firing_rows",
     "load_rules",
+    "triage_code",
 ]
 
 #: Schema of an exported alert-state document.
@@ -631,3 +633,34 @@ def load_rules(
     for rule in file_rules:
         by_name[rule.name] = rule
     return tuple(by_name.values())
+
+
+# ----------------------------------------------------------------------
+# triage
+# ----------------------------------------------------------------------
+def firing_rows(
+    alerts_doc: Optional[Dict[str, object]],
+) -> List[Dict[str, object]]:
+    """The firing rows of an ``alerts`` op response (``GET /alertz``);
+    none when the document is missing or not ``ok``."""
+    if not alerts_doc or not alerts_doc.get("ok"):
+        return []
+    return [
+        row
+        for row in alerts_doc.get("alerts") or []
+        if isinstance(row, dict) and row.get("state") == "firing"
+    ]
+
+
+def triage_code(
+    alerts_doc: Optional[Dict[str, object]],
+    crash_doc: Optional[Dict[str, object]],
+) -> int:
+    """The daemon triage rule ``repro-sta doctor`` and the fleet doctor
+    share: ``2`` when the ``crash-report`` response (``GET /crashz``)
+    holds a report, else ``1`` while an alert fires, else ``0``."""
+    if crash_doc and crash_doc.get("ok") and isinstance(
+        crash_doc.get("crash"), dict
+    ):
+        return 2
+    return 1 if firing_rows(alerts_doc) else 0

@@ -34,6 +34,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.obs.alerts import firing_rows, triage_code
 from repro.obs.tsdb import rate, resolve_metric
 
 __all__ = [
@@ -113,13 +114,7 @@ def _cache_hit_rate(point: Dict[str, object]) -> Optional[float]:
 
 
 def _firing_names(alertz: Optional[Dict[str, object]]) -> List[str]:
-    if not alertz or not alertz.get("ok", True):
-        return []
-    return [
-        str(row.get("name", "?"))
-        for row in alertz.get("alerts") or []
-        if isinstance(row, dict) and row.get("state") == "firing"
-    ]
+    return [str(row.get("name", "?")) for row in firing_rows(alertz)]
 
 
 def peer_row(
@@ -280,20 +275,18 @@ def _peer_verdict(scrape: Dict[str, object]) -> Dict[str, object]:
             "reasons": [f"down: {scrape.get('error') or 'unreachable'}"],
         }
     reasons: List[str] = []
-    code = 0
     crashz = scrape.get("crashz") or {}
-    if isinstance(crashz.get("crash"), dict):
+    code = triage_code(scrape.get("alertz"), crashz)
+    if code == 2:
         crash = crashz["crash"]
         error = crash.get("error") or {}
         reasons.append(
             f"crash report on disk: {crash.get('kind', '?')} "
             f"[{error.get('error_type', '?')}]"
         )
-        code = 2
     firing = _firing_names(scrape.get("alertz"))
     if firing:
         reasons.append(f"alerts firing: {', '.join(firing)}")
-        code = max(code, 1)
     return {"code": code, "reasons": reasons}
 
 

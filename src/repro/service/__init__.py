@@ -21,9 +21,9 @@ engine for repeated and concurrent timing queries:
   socket that keeps parsed networks warm and answers
   analyze / what-if / report queries through the incremental engine,
 * :mod:`repro.service.httpmon` -- the shared localhost HTTP stack
-  (:class:`RouteTable` / :class:`RouteHTTPServer`) and
-  :class:`TelemetrySidecar`, the server behind ``repro-sta serve
-  --http-port`` exposing ``/healthz`` and ``/metrics``,
+  (:class:`RouteTable` / :class:`RouteHTTPServer`) behind the daemon's
+  ``repro-sta serve --http-port`` sidecar, the collector and the cache
+  fabric,
 * :mod:`repro.service.fabric` -- the distributed cache fabric:
   :class:`CacheServer` (HTTP object store over a :class:`ResultCache`),
   :class:`ShardRouter` (deterministic digest-prefix sharding),
@@ -86,7 +86,6 @@ from repro.service.fabric import (
 from repro.service.httpmon import (
     RouteHTTPServer,
     RouteTable,
-    TelemetrySidecar,
 )
 from repro.service.top import fetch_frame, render_top
 
@@ -113,7 +112,6 @@ __all__ = [
     "scrape_peer",
     "JobOutcome",
     "ResultCache",
-    "TelemetrySidecar",
     "TimingDaemon",
     "fetch_frame",
     "render_top",

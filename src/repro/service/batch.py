@@ -12,11 +12,10 @@ through four phases:
    back to the parse path: the design is parsed once in the parent,
    its content digests computed (:mod:`repro.service.digest`) and a
    cheap structural fingerprint extracted -- the clock-domain set
-   (:func:`repro.core.domains.clock_domains`) and the cluster profile
-   (:func:`repro.core.clusters.extract_clusters`); workers report the
-   fingerprint back so the map learns it for next time.  Jobs are
-   grouped by clock-domain *partition* and ordered
-   largest-cluster-first inside each partition (LPT), so heavy jobs
+   (:func:`repro.core.domains.clock_domains`) and the combinational
+   cell count; workers report the fingerprint back so the map learns
+   it for next time.  Jobs are grouped by clock-domain *partition* and
+   ordered largest-first inside each partition (LPT), so heavy jobs
    start early and jobs that share clocking structure land on the same
    worker wave.
 2. **Cache probe** -- each job's content address is looked up in the
@@ -160,8 +159,8 @@ class SourceMap:
             and existing is not None
             and existing.get("key") == key
         ):
-            # Don't let a weightless probe-hit record (hits are never
-            # weighed) clobber a real weight learned from a worker.
+            # Don't let a weightless record clobber a real weight
+            # learned from a worker.
             weight = int(existing.get("weight") or 0)
         entries[source] = {
             "key": key,
@@ -493,33 +492,9 @@ class _Plan:
     #: Planning-time failure (unreadable file, unknown format); the job
     #: is reported as failed without ever reaching a worker.
     error: Optional[str] = None
-    #: Parsed network, held only until the job is weighed or answered
-    #: from the cache (dropped immediately after -- see
-    #: :meth:`BatchEngine.run`).
-    network: Optional[object] = field(default=None, repr=False)
     #: Raw-source digest of this job (``None`` when the engine runs
     #: without a cache and therefore without a :class:`SourceMap`).
     source: Optional[str] = None
-    #: Weight remembered by the source map (fast-path plans only);
-    #: :meth:`weigh` falls back to it when there is no held network.
-    cached_weight: Optional[int] = None
-
-    def weigh(self) -> None:
-        """Compute the LPT weight from the held network, then drop it.
-
-        Weighing parses the cluster structure, which costs as much as
-        the digest itself -- so it is deferred until we know the job
-        actually misses the cache.  A fast-path plan (no parsed
-        network) falls back to the weight the source map remembered.
-        """
-        from repro.core.clusters import extract_clusters
-
-        if self.network is not None:
-            clusters = extract_clusters(self.network)
-            self.weight = sum(len(c.cells) for c in clusters)
-            self.network = None
-        elif not self.weight and self.cached_weight:
-            self.weight = self.cached_weight
 
 
 class BatchEngine:
@@ -616,16 +591,12 @@ class BatchEngine:
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
-    def plan(
-        self, jobs: Sequence[BatchJob], weigh: bool = True
-    ) -> List[_Plan]:
+    def plan(self, jobs: Sequence[BatchJob]) -> List[_Plan]:
         """Digest + fingerprint every job, then order the queue.
 
         Jobs are grouped by clock-domain partition and sorted
-        largest-first within a partition (longest-processing-time
-        heuristic), so stragglers start early.  With ``weigh=False``
-        the cluster weight is left for :meth:`_Plan.weigh` -- the
-        warm-run fast path, where cache hits never need it.
+        largest-first (by combinational cell count) within a partition
+        (longest-processing-time heuristic), so stragglers start early.
 
         When the engine has a cache (and therefore a
         :class:`SourceMap`), jobs whose raw-source digest the map
@@ -640,7 +611,7 @@ class BatchEngine:
         plans: List[_Plan] = []
         with obs.span("service.batch.plan", category="service"):
             for job in jobs:
-                fast = self._plan_from_source(job, weigh)
+                fast = self._plan_from_source(job)
                 if fast is not None:
                     plans.append(fast)
                     continue
@@ -665,11 +636,13 @@ class BatchEngine:
                     schedule_digest(schedule),
                     config_digest(config),
                 )
-                partition = clock_domains(network)
-                plan = _Plan(job, key, partition, 0, network=network)
+                plan = _Plan(
+                    job,
+                    key,
+                    clock_domains(network),
+                    len(network.combinational_cells),
+                )
                 plan.source = self._source_of(job)
-                if weigh:
-                    plan.weigh()
                 plans.append(plan)
         plans.sort(key=lambda p: (p.partition, -p.weight, p.job.name))
         return plans
@@ -692,9 +665,7 @@ class BatchEngine:
             ),
         )
 
-    def _plan_from_source(
-        self, job: BatchJob, weigh: bool
-    ) -> Optional[_Plan]:
+    def _plan_from_source(self, job: BatchJob) -> Optional[_Plan]:
         """Plan one job from the source map, or ``None`` to parse."""
         if self._sources is None:
             return None
@@ -705,15 +676,13 @@ class BatchEngine:
         if entry is None:
             return None
         obs.counter("service.batch.plan_fast")
-        weight = int(entry.get("weight") or 0)
         plan = _Plan(
             job,
             str(entry["key"]),
             tuple(entry["partition"]),  # type: ignore[arg-type]
-            weight if weigh else 0,
+            int(entry.get("weight") or 0),
         )
         plan.source = source
-        plan.cached_weight = weight
         return plan
 
     # ------------------------------------------------------------------
@@ -723,7 +692,7 @@ class BatchEngine:
         """Run the whole job set; always returns a complete report."""
         started = time.perf_counter()
         with obs.span("service.batch.run", category="service"):
-            plans = self.plan(jobs, weigh=False)
+            plans = self.plan(jobs)
             outcomes: Dict[str, JobOutcome] = {}
             misses: List[_Plan] = []
             for plan in plans:
@@ -743,7 +712,6 @@ class BatchEngine:
                     else None
                 )
                 if hit is not None:
-                    plan.network = None  # hits never need the weight
                     self._record_source(plan, plan.weight)
                     outcomes[plan.job.name] = JobOutcome(
                         job=plan.job,
@@ -756,13 +724,7 @@ class BatchEngine:
                 else:
                     misses.append(plan)
             if misses:
-                # Weigh only the jobs that actually run, then re-apply
-                # the LPT order within each partition.
-                for plan in misses:
-                    plan.weigh()
-                misses.sort(
-                    key=lambda p: (p.partition, -p.weight, p.job.name)
-                )
+                # ``plans`` is in LPT order, and so is any subset of it.
                 self._execute(misses, outcomes)
         report = BatchReport(
             outcomes=[outcomes[plan.job.name] for plan in plans],

@@ -14,8 +14,10 @@ once.  ``analyze`` answers from the warm engine (cold only on first
 load), ``mutate`` applies delay/clock edits through the incremental
 engine (cheap delay swap when outside control cones, tracked rebuild
 otherwise) and the next ``analyze`` warm-starts Algorithm 1 from the
-previous fixed point.  An optional :class:`repro.service.cache.
-ResultCache` short-circuits repeated cold loads across daemon restarts.
+previous fixed point.  The daemon never reads an optional
+:class:`repro.service.cache.ResultCache`: it publishes each unmutated
+design's result there for ``repro-sta batch`` runs and cache-fabric
+peers that share the directory.
 
 Requests (see ``docs/service.md`` for the full protocol)::
 
@@ -31,6 +33,7 @@ Requests (see ``docs/service.md`` for the full protocol)::
     {"op": "history", "last": 60}
     {"op": "profile", "action": "start", "hz": 100}
     {"op": "buildinfo"}
+    {"op": "fabric"}
     {"op": "shutdown"}
 
 Responses always carry ``"ok"``; errors come back as
@@ -40,11 +43,13 @@ request never takes the daemon down.
 **Service telemetry** (PR 4; see ``docs/observability.md``): the daemon
 keeps an always-on, low-overhead *service recorder* feeding the
 ``health``/``metrics`` ops and the optional localhost HTTP sidecar
-(``--http-port``: ``GET /healthz``, ``GET /metrics``).  A request that
-carries a ``repro.trace/1`` context (any :class:`DaemonClient` call made
-while the client records) is handled under a per-request recorder whose
-snapshot ships back in the response and merges into the client trace --
-one Chrome trace across both processes.  With ``--access-log`` every
+(``--http-port``).  Each JSON route there serves one read-only op's
+document (:attr:`TimingDaemon.HTTP_ROUTES`: ``GET /healthz`` is the
+``health`` op); ``GET /metrics`` is Prometheus text.  A request that
+carries a ``repro.trace/1`` context (any :class:`DaemonClient` call
+made while the client records) is handled under a per-request recorder
+whose snapshot ships back in the response and merges into the client
+trace -- one Chrome trace across both processes.  With ``--access-log`` every
 request appends one ``repro.accesslog/1`` JSON line (op, design, warm
 vs rebuild, queue-wait vs handle time, status, duration); requests
 slower than the threshold attach their full span tree.
@@ -115,6 +120,27 @@ PROTOCOL_VERSION = 1
 #: a structured error response but no crash report.  Anything outside
 #: this set dumps a ``repro.crash/1`` postmortem.
 _EXPECTED_ERRORS = (ValueError, KeyError, TypeError, OSError)
+
+
+class NotFoundError(ValueError):
+    """The request names a document the daemon does not hold (an
+    unknown trace id): a structured error on the socket, 404 over
+    HTTP."""
+
+
+def _last(
+    request: Dict[str, object], default: Optional[int] = None
+) -> Optional[int]:
+    """The request's ``last`` key as an int (``default`` when absent)."""
+    last = request.get("last")
+    if last is None:
+        return default
+    try:
+        return int(last)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"?last must be an integer, got {last!r}"
+        ) from None
 
 
 def _json_num(value) -> object:
@@ -239,13 +265,15 @@ class TimingDaemon:
     socket_path:
         Unix-domain socket to listen on.
     cache:
-        Optional :class:`ResultCache` short-circuiting cold loads.
+        Optional :class:`ResultCache` the daemon publishes unmutated
+        results to (it never reads it back): ``batch`` runs and fabric
+        peers sharing the directory answer those designs from it.
     slow_path_limit:
         Default ``analyze`` slow-path limit.
     http_port:
-        When not ``None``, serve ``/healthz`` and ``/metrics`` over
-        localhost HTTP on this port (``0`` picks an ephemeral port;
-        see :attr:`http_address`).
+        When not ``None``, serve :attr:`HTTP_ROUTES` and ``/metrics``
+        over localhost HTTP on this port (``0`` picks an ephemeral
+        port; see :attr:`http_address`).
     access_log:
         Path or :class:`repro.obs.AccessLog`; one ``repro.accesslog/1``
         JSON line per request.
@@ -544,44 +572,76 @@ class TimingDaemon:
         server.daemon_threads = True
         return server
 
-    #: Declarative sidecar route table: path -> bound-method name.
-    #: ``_start_sidecar`` builds the live dict from this, and the
-    #: sidecar's JSON 404 lists exactly these paths -- adding a route is
-    #: one line here, with no ``do_GET`` if/else chain to grow.
-    HTTP_ROUTES: Tuple[Tuple[str, str], ...] = (
-        ("/healthz", "_http_healthz"),
-        ("/metrics", "_http_metrics"),
-        ("/metrics/history", "_http_history"),
-        ("/profile", "_http_profile"),
-        ("/buildz", "_http_buildz"),
-        ("/alertz", "_http_alertz"),
-        ("/crashz", "_http_crashz"),
-        ("/flightz", "_http_flightz"),
-        ("/fabricz", "_http_fabricz"),
-        ("/traces", "_http_traces"),
+    #: Sidecar route table: path -> the op it serves and that op's
+    #: fixed read-only fields.  A route answers with the op handler's
+    #: own document (one implementation per document), so a route is
+    #: one line here; ``/metrics`` is the one route of its own, because
+    #: Prometheus text is a different format.  The sidecar's JSON 404
+    #: lists these paths plus ``/metrics``.
+    HTTP_ROUTES: Tuple[Tuple[str, Dict[str, str]], ...] = (
+        ("/healthz", {"op": "health"}),
+        ("/metrics/history", {"op": "history"}),
+        ("/buildz", {"op": "buildinfo"}),
+        ("/alertz", {"op": "alerts", "action": "list"}),
+        ("/crashz", {"op": "crash-report"}),
+        ("/flightz", {"op": "flight"}),
+        ("/profile", {"op": "profile", "action": "fetch"}),
+        ("/traces", {"op": "traces", "action": "list"}),
+        ("/traces/<id>", {"op": "traces", "action": "show"}),
+        ("/fabricz", {"op": "fabric"}),
     )
 
     def _start_sidecar(self) -> None:
         if self.http_port is None or self._sidecar is not None:
             return
-        from repro.service.httpmon import TelemetrySidecar
+        from repro.service.httpmon import RouteHTTPServer, RouteTable
 
-        routes = {
-            path: getattr(self, attr) for path, attr in self.HTTP_ROUTES
-        }
+        table = RouteTable()
+        for path, fixed in self.HTTP_ROUTES:
+            table.add("GET", path, self._sidecar_route(fixed))
+        table.add_simple("/metrics", self._http_metrics)
         if self.collector is not None:
             # ``serve --collect``: the fleet routes ride the daemon's
             # own sidecar instead of a separate collector port.
-            routes.update(self.collector.embedded_routes())
-        self._sidecar = TelemetrySidecar(
-            routes=routes,
+            for path, route in self.collector.embedded_routes().items():
+                table.add_simple(path, route)
+        self._sidecar = RouteHTTPServer(
+            table,
             port=self.http_port,
             on_request=lambda path: self._counter(
                 "service.daemon.http_requests"
             ),
-            handlers={"/traces/<id>": self._http_trace_show},
         )
         self._sidecar.start()
+
+    def _sidecar_route(self, fixed: Dict[str, str]):
+        """The GET handler serving the op ``fixed`` names.
+
+        The op request is ``fixed`` plus the ``/traces/<id>`` operand as
+        ``trace_id`` and the ``last`` query key -- nothing else from the
+        query string, so a GET can never ack an alert or start the
+        profiler.  The op handler runs directly, not through
+        :meth:`handle_line`: scrapes are not daemon requests, flight
+        events, access-log lines or traces.  A missing document answers
+        404; the route table answers any other ``ValueError`` 400 and
+        anything else 500, with the op's message.
+        """
+        handler = self._op_handler(fixed["op"])
+
+        def route(request) -> Tuple[int, str, str]:
+            op_request: Dict[str, object] = dict(fixed)
+            if request.operand:
+                op_request["trace_id"] = request.operand
+            if "last" in request.params:
+                op_request["last"] = request.params["last"]
+            try:
+                status, doc = 200, handler(op_request)
+            except NotFoundError as exc:
+                status, doc = 404, {"ok": False, "error": str(exc)}
+            body = json.dumps(doc, sort_keys=True, default=str)
+            return status, "application/json", body + "\n"
+
+        return route
 
     def _start_history(self) -> None:
         if not self.history.running:
@@ -692,13 +752,6 @@ class TimingDaemon:
         """``(host, port)`` of the live HTTP sidecar, or ``None``."""
         return self._sidecar.address if self._sidecar else None
 
-    def _http_healthz(self, params: Dict[str, str]) -> Tuple[str, str]:
-        body = json.dumps(
-            {"ok": True, "status": "ok", **self._snapshot()},
-            sort_keys=True,
-        )
-        return "application/json", body + "\n"
-
     def _http_metrics(self, params: Dict[str, str]) -> Tuple[str, str]:
         from repro.obs.metrics import render_prometheus
 
@@ -707,153 +760,6 @@ class TimingDaemon:
             "text/plain; version=0.0.4",
             render_prometheus(self.recorder),
         )
-
-    def _http_history(self, params: Dict[str, str]) -> Tuple[str, str]:
-        last = None
-        if "last" in params:
-            try:
-                last = int(params["last"])
-            except ValueError:
-                raise ValueError(
-                    f"?last must be an integer, got {params['last']!r}"
-                ) from None
-        body = json.dumps({"ok": True, **self.history.to_dict(last=last)})
-        return "application/json", body + "\n"
-
-    def _http_profile(self, params: Dict[str, str]) -> Tuple[str, str]:
-        doc = self._profile_document()
-        if doc is None:
-            raise RuntimeError(
-                "profiler has not run (start it with the 'profile' op "
-                "or repro-sta serve --profile)"
-            )
-        body = json.dumps({"ok": True, "profile": doc})
-        return "application/json", body + "\n"
-
-    def _http_buildz(self, params: Dict[str, str]) -> Tuple[str, str]:
-        body = json.dumps(
-            {"ok": True, **self._buildinfo()}, sort_keys=True
-        )
-        return "application/json", body + "\n"
-
-    def _http_alertz(self, params: Dict[str, str]) -> Tuple[str, str]:
-        body = json.dumps(
-            {"ok": True, **self.alerts.to_dict()}, sort_keys=True
-        )
-        return "application/json", body + "\n"
-
-    def _http_crashz(self, params: Dict[str, str]) -> Tuple[str, str]:
-        latest = self.crash.latest()
-        path = self.crash.latest_path()
-        body = json.dumps(
-            {
-                "ok": True,
-                "crash": latest,
-                "path": str(path) if path is not None else None,
-                "reports_written": self.crash.reports_written,
-            },
-            sort_keys=True,
-            default=str,
-        )
-        return "application/json", body + "\n"
-
-    def _http_flightz(self, params: Dict[str, str]) -> Tuple[str, str]:
-        last = None
-        if "last" in params:
-            try:
-                last = int(params["last"])
-            except ValueError:
-                raise ValueError(
-                    f"?last must be an integer, got {params['last']!r}"
-                ) from None
-        body = json.dumps(
-            {"ok": True, **self.flight.to_dict(last=last)},
-            sort_keys=True,
-            default=str,
-        )
-        return "application/json", body + "\n"
-
-    def _http_fabricz(self, params: Dict[str, str]) -> Tuple[str, str]:
-        """Fabric client view from the daemon's sidecar (the cache
-        server's own ``/fabricz`` shows the server side)."""
-        if self._fabric is None:
-            raise RuntimeError("no cache fabric on this daemon")
-        doc: Dict[str, object] = {
-            "ok": True,
-            "peers": list(self._fabric.peers),
-            "down": self._fabric.down_peers(),
-            "degraded": self._fabric.degraded,
-            "stats": self._fabric.stats.to_dict(),
-            "hit_rate": self._fabric.stats.hit_rate,
-            "peers_file": (
-                str(self._fabric.peers_file)
-                if getattr(self._fabric, "peers_file", None) is not None
-                else None
-            ),
-        }
-        if self.cache_server is not None:
-            doc["cache_server"] = (
-                list(self.cache_server.address)
-                if self.cache_server.address is not None
-                else None
-            )
-        return "application/json", json.dumps(doc, sort_keys=True) + "\n"
-
-    def _http_traces(self, params: Dict[str, str]) -> Tuple[str, str]:
-        if self.trace_store is None:
-            raise RuntimeError(
-                "trace store disabled (start with --trace-dir)"
-            )
-        last = 50
-        if "last" in params:
-            try:
-                last = int(params["last"])
-            except ValueError:
-                raise ValueError(
-                    f"?last must be an integer, got {params['last']!r}"
-                ) from None
-        body = json.dumps(
-            {
-                "ok": True,
-                "traces": self.trace_store.list(last=last),
-                "stats": self.trace_store.stats(),
-            }
-        )
-        return "application/json", body + "\n"
-
-    def _http_trace_show(self, request) -> Tuple[int, str, str]:
-        """``GET /traces/<id>`` -- full ``Handler`` signature so the
-        trace id arrives as the route operand."""
-        if self.trace_store is None:
-            return (
-                500,
-                "application/json",
-                json.dumps(
-                    {
-                        "ok": False,
-                        "error": (
-                            "trace store disabled (start with --trace-dir)"
-                        ),
-                    }
-                )
-                + "\n",
-            )
-        trace_id = str(request.operand or "").strip()
-        document = self.trace_store.get(trace_id)
-        if document is None:
-            return (
-                404,
-                "application/json",
-                json.dumps(
-                    {
-                        "ok": False,
-                        "error": f"no stored trace {trace_id!r}",
-                    }
-                )
-                + "\n",
-            )
-        body = json.dumps({"ok": True, "trace": document})
-        return 200, "application/json", body + "\n"
 
     def _buildinfo(self) -> Dict[str, object]:
         """Build/runtime identity served by ``GET /buildz``."""
@@ -1128,11 +1034,7 @@ class TimingDaemon:
                 raise ValueError("request must be a JSON object")
             request = parsed
             op = str(request.get("op", ""))
-            # ``crash-report`` and friends spell ops with hyphens on the
-            # wire; handler names cannot.
-            handler = getattr(self, f"_op_{op.replace('-', '_')}", None)
-            if handler is None or op.startswith("_"):
-                raise ValueError(f"unknown op {op!r}")
+            handler = self._op_handler(op)
             if self.watchdog is not None:
                 local.wd_token = self.watchdog.track(op=op)
             ctx = request.get("trace")
@@ -1271,6 +1173,16 @@ class TimingDaemon:
                 trace_id=req_rec.trace_id if req_rec else None,
             )
         return response
+
+    def _op_handler(self, op: str):
+        """The ``_op_*`` method answering ``op`` (the socket and the
+        sidecar both dispatch through here)."""
+        # ``crash-report`` and friends spell ops with hyphens on the
+        # wire; handler names cannot.
+        handler = getattr(self, f"_op_{op.replace('-', '_')}", None)
+        if handler is None or op.startswith("_"):
+            raise ValueError(f"unknown op {op!r}")
+        return handler
 
     @contextmanager
     def _locked_design(self, state: _DesignState):
@@ -1527,8 +1439,7 @@ class TimingDaemon:
 
     def _op_history(self, request: Dict[str, object]) -> Dict[str, object]:
         """The metrics ring buffer (``last`` trims to the newest N)."""
-        last = request.get("last")
-        last = int(last) if last is not None else None
+        last = _last(request)
         self._counter("service.tsdb.reads")
         return {"ok": True, **self.history.to_dict(last=last)}
 
@@ -1736,9 +1647,7 @@ class TimingDaemon:
 
     def _op_flight(self, request: Dict[str, object]) -> Dict[str, object]:
         """The flight ring (``last`` trims to the newest N events)."""
-        last = request.get("last")
-        last = int(last) if last is not None else None
-        return {"ok": True, **self.flight.to_dict(last=last)}
+        return {"ok": True, **self.flight.to_dict(last=_last(request))}
 
     def _op_traces(self, request: Dict[str, object]) -> Dict[str, object]:
         """The tail-sampled trace store: ``action`` list (default),
@@ -1750,10 +1659,9 @@ class TimingDaemon:
             )
         action = str(request.get("action", "list"))
         if action == "list":
-            last = int(request.get("last", 50) or 0)
             return {
                 "ok": True,
-                "traces": self.trace_store.list(last=last),
+                "traces": self.trace_store.list(last=_last(request, 50)),
                 "stats": self.trace_store.stats(),
             }
         if action == "show":
@@ -1762,7 +1670,7 @@ class TimingDaemon:
                 raise ValueError("show needs a 'trace_id'")
             document = self.trace_store.get(trace_id)
             if document is None:
-                raise ValueError(f"no stored trace {trace_id!r}")
+                raise NotFoundError(f"no stored trace {trace_id!r}")
             return {"ok": True, "trace": document}
         if action == "stats":
             return {"ok": True, "stats": self.trace_store.stats()}
@@ -1784,6 +1692,32 @@ class TimingDaemon:
             "path": str(path) if path is not None else None,
             "reports_written": self.crash.reports_written,
         }
+
+    def _op_fabric(self, request: Dict[str, object]) -> Dict[str, object]:
+        """The cache-fabric client view (the cache server's own
+        ``/fabricz`` shows the server side)."""
+        if self._fabric is None:
+            raise ValueError("no cache fabric on this daemon")
+        doc: Dict[str, object] = {
+            "ok": True,
+            "peers": list(self._fabric.peers),
+            "down": self._fabric.down_peers(),
+            "degraded": self._fabric.degraded,
+            "stats": self._fabric.stats.to_dict(),
+            "hit_rate": self._fabric.stats.hit_rate,
+            "peers_file": (
+                str(self._fabric.peers_file)
+                if getattr(self._fabric, "peers_file", None) is not None
+                else None
+            ),
+        }
+        if self.cache_server is not None:
+            doc["cache_server"] = (
+                list(self.cache_server.address)
+                if self.cache_server.address is not None
+                else None
+            )
+        return doc
 
     # -- fault injection (debug_ops only; CI's self-diagnosis smoke) ---
     def _require_debug_ops(self) -> None:

@@ -28,6 +28,8 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
+from repro.obs.alerts import triage_code
+
 __all__ = [
     "DOCTOR_SCHEMA",
     "doctor_exit_code",
@@ -63,23 +65,7 @@ def fetch_doctor(
 
 def doctor_exit_code(doc: Dict[str, object]) -> int:
     """CI verdict for a doctor document (see module docstring)."""
-    crash = doc.get("crash") or {}
-    if crash.get("ok") and crash.get("crash"):
-        return 2
-    if _firing(doc):
-        return 1
-    return 0
-
-
-def _firing(doc: Dict[str, object]) -> List[Dict[str, object]]:
-    alerts = doc.get("alerts") or {}
-    if not alerts.get("ok"):
-        return []
-    return [
-        row
-        for row in alerts.get("alerts") or []
-        if isinstance(row, dict) and row.get("state") == "firing"
-    ]
+    return triage_code(doc.get("alerts"), doc.get("crash"))
 
 
 def _fmt_age(now: float, ts: object) -> str:

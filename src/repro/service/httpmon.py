@@ -1,15 +1,16 @@
-"""Localhost HTTP serving stack: route table, server, telemetry sidecar.
+"""Localhost HTTP serving stack: route table and server.
 
-Two HTTP services share this module:
+Three HTTP services are built on this module:
 
-* :class:`TelemetrySidecar` -- the read-only telemetry endpoint behind
-  ``repro-sta serve --http-port`` (``GET /healthz``, ``/metrics``,
-  ``/metrics/history``, ``/profile``, ``/buildz``, ``/alertz``,
-  ``/crashz``, ``/flightz``),
+* the daemon's read-only telemetry sidecar behind ``repro-sta serve
+  --http-port`` (its routes serve the daemon's op documents; see
+  :attr:`repro.service.daemon.TimingDaemon.HTTP_ROUTES`),
+* :class:`repro.service.collector.FleetCollector`'s standalone
+  ``/fleetz`` server,
 * :class:`repro.service.fabric.CacheServer` -- the cache-fabric object
   store (``GET/PUT/HEAD /objects/<key>``).
 
-Both are built from the same two pieces so the HTTP hygiene rules are
+All are built from the same two pieces so the HTTP hygiene rules are
 implemented (and tested) exactly once:
 
 * :class:`RouteTable` -- maps ``(method, path)`` to a handler.  Exact
@@ -40,7 +41,6 @@ __all__ = [
     "HttpRequest",
     "RouteHTTPServer",
     "RouteTable",
-    "TelemetrySidecar",
 ]
 
 #: A telemetry route renders ``(query_params) -> (content_type, body)``.
@@ -342,58 +342,3 @@ class RouteHTTPServer:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
-
-
-class TelemetrySidecar(RouteHTTPServer):
-    """Serve read-only telemetry routes over localhost HTTP.
-
-    Parameters
-    ----------
-    routes:
-        Mapping of exact path -> callable taking the parsed query
-        params and returning ``(content_type, body)``.  A route raising
-        :class:`ValueError` answers 400 (bad client input), anything
-        else 500; unknown paths answer 404 listing the routes.
-    port:
-        TCP port on 127.0.0.1 (``0`` picks an ephemeral port; read the
-        bound address back from :attr:`address`).
-    on_request:
-        Optional hook called with the request path (used by the daemon
-        to count ``service.daemon.http_requests``).
-    handlers:
-        Mapping of pattern -> full :data:`Handler` for GET routes that
-        need the dispatch-level :class:`HttpRequest` (e.g. the operand
-        of a ``/traces/<id>`` prefix route, which the simple ``routes``
-        signature cannot see).
-    """
-
-    def __init__(
-        self,
-        routes: Dict[str, Route],
-        port: int = 0,
-        host: str = "127.0.0.1",
-        on_request: Optional[Callable[[str], None]] = None,
-        handlers: Optional[Dict[str, Handler]] = None,
-    ) -> None:
-        super().__init__(
-            table=RouteTable(),
-            port=port,
-            host=host,
-            on_request=on_request,
-        )
-        self.routes = dict(routes)
-        self.handlers = dict(handlers or {})
-
-    def start(self) -> Tuple[str, int]:
-        # Rebuild the table from ``self.routes`` at start so routes
-        # added after construction (tests do this) are honored.
-        self.table = RouteTable()
-        for path, route in self.routes.items():
-            self.table.add_simple(path, route)
-        for pattern, handler in self.handlers.items():
-            self.table.add("GET", pattern, handler)
-        return super().start()
-
-    def __enter__(self) -> "TelemetrySidecar":
-        self.start()
-        return self

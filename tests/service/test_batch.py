@@ -212,6 +212,36 @@ class TestFaultTolerance:
             >= 1
         )
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_cyclic_design_fails_alone(
+        self, tmp_path, design_files, cached
+    ):
+        """A combinational loop fails its own job; the batch completes."""
+        from repro.cells import standard_library
+        from repro.netlist import NetworkBuilder
+        from repro.netlist.persistence import save_network
+
+        netlist, clocks = design_files
+        builder = NetworkBuilder(standard_library())
+        builder.gate("g1", "INV", A="w2", Z="w1")
+        builder.gate("g2", "INV", A="w1", Z="w2")
+        cyclic = tmp_path / "cyclic.json"
+        save_network(builder.build(), cyclic)
+        engine = BatchEngine(
+            cache=ResultCache(tmp_path / "cache") if cached else None,
+            serial=True,
+        )
+        report = engine.run(
+            [
+                BatchJob("good", netlist, clocks),
+                BatchJob("loop", str(cyclic), clocks),
+            ]
+        )
+        outcomes = {o.job.name: o for o in report.outcomes}
+        assert outcomes["good"].status == "computed"
+        assert outcomes["loop"].status == "failed"
+        assert "directed cycle" in outcomes["loop"].error
+
     def test_worker_error_reported_not_raised(self, tmp_path, design_files):
         __, clocks = design_files
         bogus = tmp_path / "bogus.xyz"
@@ -395,7 +425,7 @@ class TestSourceMapPlanning:
             raise AssertionError("warm plan must not parse designs")
 
         monkeypatch.setattr(batch_mod, "_load_design", explode)
-        plans = warm.plan([job], weigh=False)
+        plans = warm.plan([job])
         assert plans[0].error is None
         report2 = warm.run([job])
         assert report2.cached == 1
@@ -403,10 +433,10 @@ class TestSourceMapPlanning:
 
     def test_planner_output_identical_cold_vs_warm(self, tmp_path, job):
         engine = self._engine(tmp_path)
-        cold = engine.plan([job], weigh=False)
+        cold = engine.plan([job])
         engine.run([job])
         warm_engine = self._engine(tmp_path)
-        warm = warm_engine.plan([job], weigh=False)
+        warm = warm_engine.plan([job])
         assert [(p.key, p.partition, p.weight) for p in warm] == [
             (p.key, p.partition, p.weight) for p in cold
         ]
@@ -428,9 +458,10 @@ class TestSourceMapPlanning:
         engine = self._engine(tmp_path)
         engine.run([job])
         warm = self._engine(tmp_path)
-        plans = warm.plan([job], weigh=True)
+        plans = warm.plan([job])
         assert plans[0].weight > 0
-        assert plans[0].network is None  # no parse held
+        parsed = BatchEngine(cache=None, serial=True).plan([job])
+        assert plans[0].weight == parsed[0].weight
 
     def test_edited_source_falls_back_to_parse(self, tmp_path, job):
         from pathlib import Path
@@ -441,7 +472,7 @@ class TestSourceMapPlanning:
         netlist = Path(job.netlist)
         netlist.write_text(netlist.read_text() + "\n")
         warm = self._engine(tmp_path)
-        plans = warm.plan([job], weigh=False)
+        plans = warm.plan([job])
         # Parse path: semantic digest unchanged, so still a cache hit.
         assert plans[0].error is None
         report = warm.run([job])

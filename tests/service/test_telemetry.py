@@ -243,12 +243,15 @@ class TestHttpHygiene:
             return response.status, dict(response.headers), response.read()
 
     def test_head_mirrors_get_without_body(self, daemon_socket):
+        # /crashz, not /healthz: the two calls must see the same body,
+        # and /healthz carries a clock (uptime_s) whose printed length
+        # changes between them.
         with TimingDaemon(daemon_socket, http_port=0) as daemon:
             get_status, get_headers, get_body = self._request(
-                daemon.http_address, "/healthz"
+                daemon.http_address, "/crashz"
             )
             status, headers, body = self._request(
-                daemon.http_address, "/healthz", method="HEAD"
+                daemon.http_address, "/crashz", method="HEAD"
             )
         assert get_status == status == 200
         assert body == b""
@@ -330,11 +333,11 @@ class TestHttpHygiene:
             assert err.value.code == 400
             assert b"?last must be an integer" in err.value.read()
 
-    def test_profile_route_500_before_first_run(self, daemon_socket):
+    def test_profile_route_400_before_first_run(self, daemon_socket):
         with TimingDaemon(daemon_socket, http_port=0) as daemon:
             with pytest.raises(urllib.error.HTTPError) as err:
                 self._request(daemon.http_address, "/profile")
-            assert err.value.code == 500
+            assert err.value.code == 400
 
     def test_profile_route_serves_live_snapshot(self, daemon_socket):
         with TimingDaemon(daemon_socket, http_port=0) as daemon:
@@ -539,14 +542,121 @@ class TestSelfDiagnosisRoutes:
             payload = json.loads(err.value.read())
         expected = sorted(
             [path for path, __ in TimingDaemon.HTTP_ROUTES]
-            + ["/traces/<id>"]  # the trace-show handler route (PR 9)
+            + ["/metrics"]  # Prometheus text, the one non-op route
         )
         assert sorted(payload["routes"]) == expected
         for path in ("/alertz", "/crashz", "/flightz", "/fabricz"):
             assert path in payload["routes"]
 
     def test_route_table_handlers_exist(self):
-        """Every route in the table resolves to a real bound method."""
-        for path, attr in TimingDaemon.HTTP_ROUTES:
+        """Every route in the table names a real socket op."""
+        for path, fixed in TimingDaemon.HTTP_ROUTES:
             assert path.startswith("/")
-            assert callable(getattr(TimingDaemon, attr))
+            handler = f"_op_{fixed['op'].replace('-', '_')}"
+            assert callable(getattr(TimingDaemon, handler))
+
+
+def _without_volatile(doc):
+    """``doc`` minus the clock-dependent ``uptime_s``/``ts`` fields."""
+    if isinstance(doc, dict):
+        return {
+            key: _without_volatile(value)
+            for key, value in doc.items()
+            if key not in ("uptime_s", "ts")
+        }
+    if isinstance(doc, list):
+        return [_without_volatile(value) for value in doc]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def served_daemon(tmp_path_factory):
+    """One daemon with every sidecar document populated: a fabric peer,
+    a stored trace, a stopped profile and a firing alert."""
+    from repro.clocks.serialize import save_schedule
+    from repro.generators import latch_pipeline
+    from repro.netlist.persistence import save_network
+    from repro.service import CacheServer, RemoteCache, TieredCache
+
+    tmp = tmp_path_factory.mktemp("served")
+    network, schedule = latch_pipeline(
+        stages=4, stage_lengths=[10, 1, 1, 1], period=12.0
+    )
+    netlist, clocks = str(tmp / "d.json"), str(tmp / "c.json")
+    save_network(network, netlist)
+    save_schedule(schedule, clocks)
+    socket_path = str(tmp / "served.sock")
+    with CacheServer(tmp / "peer") as peer:
+        host, port = peer.address
+        cache = TieredCache(
+            ResultCache(tmp / "l1"), RemoteCache([f"http://{host}:{port}"])
+        )
+        with TimingDaemon(
+            socket_path,
+            http_port=0,
+            cache=cache,
+            trace_dir=tmp / "traces",
+            trace_sample=1.0,
+            history_interval_s=3600.0,
+        ) as daemon:
+            with DaemonClient(socket_path) as client:
+                client.analyze(netlist, clocks)
+                client.profile("start", hz=500)
+                client.profile("stop")
+            daemon.alerts.fire("daemon.stalled", message="unit test")
+            yield daemon, socket_path
+
+
+class TestSidecarServesOps:
+    """Each sidecar route answers with its socket op's document."""
+
+    def _get(self, address, path):
+        host, port = address
+        with urllib.request.urlopen(
+            f"http://{host}:{port}{path}", timeout=5
+        ) as response:
+            return response.status, json.loads(response.read())
+
+    @pytest.mark.parametrize(
+        "path, fixed",
+        TimingDaemon.HTTP_ROUTES,
+        ids=[path for path, __ in TimingDaemon.HTTP_ROUTES],
+    )
+    def test_route_body_equals_op_response(
+        self, served_daemon, path, fixed
+    ):
+        daemon, socket_path = served_daemon
+        request = dict(fixed)
+        with DaemonClient(socket_path) as client:
+            if "<id>" in path:
+                listing = client.traces()
+                request["trace_id"] = listing["traces"][0]["trace_id"]
+                path = path.replace("<id>", request["trace_id"])
+            # Scrape first: the socket request below records itself
+            # (flight ring, trace store) only after it has answered.
+            status, body = self._get(daemon.http_address, path)
+            response = client.request(request)
+        assert status == 200
+        assert response["ok"], response
+        if fixed["op"] == "health":
+            # The socket request counts itself; a scrape is no request.
+            response["requests"] -= 1
+            response["in_flight"] -= 1
+        assert _without_volatile(body) == _without_volatile(response)
+
+    def test_get_alertz_never_acks(self, served_daemon):
+        daemon, __ = served_daemon
+        status, body = self._get(
+            daemon.http_address, "/alertz?action=ack&name=daemon.stalled"
+        )
+        assert status == 200
+        assert body["schema"] == "repro.alerts/1"
+        (row,) = [r for r in body["alerts"] if r["name"] == "daemon.stalled"]
+        assert row["state"] == "firing"
+        assert not row.get("acked")
+
+    def test_get_profile_never_starts_the_profiler(self, daemon_socket):
+        with TimingDaemon(daemon_socket, http_port=0) as daemon:
+            with pytest.raises(urllib.error.HTTPError):
+                self._get(daemon.http_address, "/profile?action=start")
+            assert daemon._profiler is None
