@@ -17,7 +17,16 @@ requirement arcs of the break-open pass selection.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.netlist.cell import Cell
 from repro.netlist.kinds import CellRole, Unateness
@@ -62,7 +71,7 @@ class Cluster:
         self.sources: Tuple[Terminal, ...] = tuple(sources)
         #: Synchroniser data inputs / primary outputs fed by cluster nets.
         self.captures: Tuple[Terminal, ...] = tuple(captures)
-        self._reach: Dict[str, FrozenSet[str]] = {}
+        self._reach: Optional[Dict[str, FrozenSet[str]]] = None
 
     @property
     def is_degenerate(self) -> bool:
@@ -71,24 +80,51 @@ class Cluster:
 
     def reachable_captures(self, network: Network) -> Dict[str, FrozenSet[str]]:
         """Map each source terminal's full name to the full names of the
-        capture terminals a switching path can reach."""
-        if self._reach:
+        capture terminals a switching path can reach.
+
+        One sweep over :attr:`cells` in topological order: every net
+        carries a bitset (a Python int) of the source nets that reach it,
+        each cell ORs its input nets' bitsets into its output nets, and
+        the map is read off the capture nets.  ``network`` is not read
+        (the cells carry their own terminals); it stays in the signature
+        for existing callers.
+        """
+        if self._reach is not None:
             return self._reach
-        capture_by_net: Dict[str, List[str]] = {}
-        for capture in self.captures:
-            assert capture.net is not None
-            capture_by_net.setdefault(capture.net.name, []).append(
-                capture.full_name
-            )
+        source_nets: List[str] = []
+        reach_bits: Dict[str, int] = {}
         for source in self.sources:
             assert source.net is not None
-            reached_nets = self._nets_reachable_from(network, source.net.name)
-            captures = frozenset(
-                name
-                for net_name in reached_nets
-                for name in capture_by_net.get(net_name, ())
-            )
-            self._reach[source.full_name] = captures
+            name = source.net.name
+            if name not in reach_bits:
+                reach_bits[name] = 1 << len(source_nets)
+                source_nets.append(name)
+        for cell in self.cells:
+            for in_pin, out_pin in cell_arc_pairs(cell):
+                in_net = cell.terminal(in_pin).net
+                out_net = cell.terminal(out_pin).net
+                if in_net is None or out_net is None:
+                    continue
+                bits = reach_bits.get(in_net.name)
+                if bits:
+                    reach_bits[out_net.name] = (
+                        reach_bits.get(out_net.name, 0) | bits
+                    )
+        captured: List[List[str]] = [[] for __ in source_nets]
+        for capture in self.captures:
+            assert capture.net is not None
+            name = capture.full_name
+            bits = reach_bits.get(capture.net.name, 0)
+            while bits:
+                low = bits & -bits
+                captured[low.bit_length() - 1].append(name)
+                bits ^= low
+        by_net = {
+            name: frozenset(names) for name, names in zip(source_nets, captured)
+        }
+        self._reach = {
+            source.full_name: by_net[source.net.name] for source in self.sources
+        }
         return self._reach
 
     def seed_reachability(
@@ -97,10 +133,10 @@ class Cluster:
         """Install a precomputed source-to-capture reachability map.
 
         Used by the cluster-granular result cache: a cached
-        ``repro.clusterart/1`` artifact carries the exact map the BFS in
+        ``repro.clusterart/1`` artifact carries the exact map the sweep in
         :meth:`reachable_captures` would compute, so a warm analysis can
-        skip the per-source net traversal for clean clusters.  The map
-        must come from an artifact whose :func:`~repro.service.digest.cluster_digest`
+        skip the sweep for clean clusters.  The map must come from an
+        artifact whose :func:`~repro.service.digest.cluster_digest`
         matches this cluster -- the cache layer guarantees that.
         """
         self._reach = {
@@ -111,6 +147,12 @@ class Cluster:
     def _nets_reachable_from(
         self, network: Network, start_net: str
     ) -> FrozenSet[str]:
+        """The nets a switching path from ``start_net`` reaches, by a
+        breadth-first search of the network (``start_net`` included).
+
+        The per-source reference that :meth:`reachable_captures` must
+        agree with; the analysis itself no longer calls it.
+        """
         reached = {start_net}
         frontier = [start_net]
         while frontier:
@@ -167,8 +209,16 @@ def _is_capture_terminal(terminal: Terminal) -> bool:
     return cell.role is CellRole.PRIMARY_OUTPUT
 
 
-def extract_clusters(network: Network) -> Tuple[Cluster, ...]:
-    """Partition the combinational logic of ``network`` into clusters."""
+def extract_clusters(
+    network: Network, comb_order: Optional[Sequence[Cell]] = None
+) -> Tuple[Cluster, ...]:
+    """Partition the combinational logic of ``network`` into clusters.
+
+    ``comb_order`` is the network's combinational cells in topological
+    order, when the caller already has it (the acyclic check of
+    :func:`~repro.netlist.validate.validate_network` computes it);
+    otherwise it is computed here.
+    """
     uf = _UnionFind()
     # Union each combinational cell with every net it touches.
     for cell in network.combinational_cells:
@@ -178,7 +228,10 @@ def extract_clusters(network: Network) -> Tuple[Cluster, ...]:
                 uf.union(cell_key, f"n:{terminal.net.name}")
 
     # Group combinational cells and their nets by component root.
-    topo = network.comb_topological_cells()
+    topo = (
+        comb_order if comb_order is not None
+        else network.comb_topological_cells()
+    )
     cells_by_root: Dict[str, List[Cell]] = {}
     for cell in topo:
         cells_by_root.setdefault(uf.find(f"c:{cell.name}"), []).append(cell)
@@ -281,8 +334,8 @@ def cluster_timing_artifact(
 
     The numbers are derived views for reporting/invalidation checks;
     correctness of warm runs rests on ``reach`` being byte-identical to
-    what a cold BFS computes, which it is by construction (it *is* the
-    cold BFS output).
+    what a cold reachability sweep computes, which it is by construction
+    (it *is* the cold sweep's output).
     """
     reach = cluster.reachable_captures(network)
     capture_by_net: Dict[str, List[str]] = {}

@@ -10,8 +10,10 @@ then iterated over cheaply by Algorithms 1 and 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from fractions import Fraction
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from repro import obs
 from repro.clocks.schedule import ClockSchedule
 from repro.core.breakopen import BreakOpenPlan, RequirementArc, plan_for_cluster
 from repro.core.clusters import Cluster, extract_clusters
@@ -25,6 +27,10 @@ from repro.core.sync_elements import (
 from repro.delay.estimator import DelayMap
 from repro.netlist.network import Network
 from repro.netlist.validate import validate_network
+
+#: A set of clock edge times (one instance group's assertion or closure
+#: edges).
+_Edges = FrozenSet[Fraction]
 
 
 @dataclass(frozen=True)
@@ -86,22 +92,35 @@ class AnalysisModel:
         self.latch_model = latch_model
         self.pass_strategy = pass_strategy
 
-        report = validate_network(network, set(schedule.clock_names))
-        report.raise_if_failed()
+        with obs.span("model.validate", category="model"):
+            report = validate_network(network, set(schedule.clock_names))
+            report.raise_if_failed()
         self.validation = report
 
-        self.instances: Dict[str, Tuple[GenericInstance, ...]] = {}
-        self._build_instances()
-        if latch_model == "edge":
-            self._degrade_to_edge_triggered()
+        with obs.span("model.instances", category="model"):
+            self.instances: Dict[str, Tuple[GenericInstance, ...]] = {}
+            self._build_instances()
+            if latch_model == "edge":
+                self._degrade_to_edge_triggered()
 
-        self.clusters: Tuple[Cluster, ...] = (
-            clusters if clusters is not None else extract_clusters(network)
-        )
-        self.plans: Dict[str, BreakOpenPlan] = {}
-        self.launch_ports: Dict[str, Tuple[LaunchPort, ...]] = {}
-        self.capture_ports: Dict[str, Tuple[CapturePort, ...]] = {}
-        self._build_ports(exhaustive_limit)
+        with obs.span("model.clusters", category="model"):
+            self.clusters: Tuple[Cluster, ...] = (
+                clusters
+                if clusters is not None
+                else extract_clusters(network, report.comb_order)
+            )
+        with obs.span("model.reachability", category="model"):
+            if pass_strategy == "minimum":
+                for cluster in self.clusters:
+                    cluster.reachable_captures(network)
+        with obs.span("model.breakopen", category="model"):
+            self.plans: Dict[str, BreakOpenPlan] = self._build_plans(
+                exhaustive_limit
+            )
+        with obs.span("model.ports", category="model"):
+            self.launch_ports: Dict[str, Tuple[LaunchPort, ...]] = {}
+            self.capture_ports: Dict[str, Tuple[CapturePort, ...]] = {}
+            self._build_ports()
 
     # ------------------------------------------------------------------
     # instance expansion
@@ -150,22 +169,28 @@ class AnalysisModel:
     # ------------------------------------------------------------------
     # ports and pass plans
     # ------------------------------------------------------------------
-    def _build_ports(self, exhaustive_limit: int) -> None:
+    def _build_plans(self, exhaustive_limit: int) -> Dict[str, BreakOpenPlan]:
         candidate_breaks = self.schedule.edge_times()
         period = self.schedule.overall_period
+        plans: Dict[str, BreakOpenPlan] = {}
         for cluster in self.clusters:
             if self.pass_strategy == "per_edge":
                 # Wallace/Szymanski-style: one settling time per clock edge.
-                plan = BreakOpenPlan(
+                plans[cluster.name] = BreakOpenPlan(
                     period=period, breaks=tuple(candidate_breaks)
                 )
             else:
-                arcs = self._requirement_arcs(cluster)
-                plan = plan_for_cluster(
-                    period, candidate_breaks, arcs, exhaustive_limit
+                plans[cluster.name] = plan_for_cluster(
+                    period,
+                    candidate_breaks,
+                    self._requirement_arcs(cluster),
+                    exhaustive_limit,
                 )
-            self.plans[cluster.name] = plan
+        return plans
 
+    def _build_ports(self) -> None:
+        for cluster in self.clusters:
+            plan = self.plans[cluster.name]
             launches: List[LaunchPort] = []
             for terminal in cluster.sources:
                 for instance in self.instances[terminal.cell.name]:
@@ -203,35 +228,54 @@ class AnalysisModel:
             self.capture_ports[cluster.name] = tuple(captures)
 
     def _requirement_arcs(self, cluster: Cluster) -> List[RequirementArc]:
-        """One arc per (launch instance, capture instance) edge-time pair
-        connected by a switching path."""
+        """The distinct (assertion edge, closure edge) pairs of the launch
+        and capture instances a switching path connects.
+
+        Every pair a source/capture terminal combination contributes is
+        the product of the source cell's assertion edges and the capture
+        cell's closure edges.  Those edge sets are built once per terminal
+        and interned, so the combinations are collected as pairs of
+        shared sets (hashed and compared by their cached hash and
+        identity) and only the few distinct pairs are expanded into arcs.
+        """
         reach = cluster.reachable_captures(self.network)
-        capture_cell_by_terminal = {
-            t.full_name: t.cell.name for t in cluster.captures
+        interned: Dict[_Edges, _Edges] = {}
+
+        def edge_set(edges: Iterable[Fraction]) -> _Edges:
+            edges = frozenset(edges)
+            return interned.setdefault(edges, edges)
+
+        closures_by_terminal = {
+            terminal.full_name: edge_set(
+                i.closure_edge
+                for i in self.instances[terminal.cell.name]
+                if i.has_input and i.closure_edge is not None
+            )
+            for terminal in cluster.captures
         }
-        arcs: List[RequirementArc] = []
+        combinations: Set[Tuple[_Edges, _Edges]] = set()
         for source in cluster.sources:
-            targets = reach.get(source.full_name, frozenset())
+            targets = reach.get(source.full_name)
             if not targets:
                 continue
-            source_instances = [
-                i
+            assertions = edge_set(
+                i.assertion_edge
                 for i in self.instances[source.cell.name]
                 if i.has_output and i.assertion_edge is not None
-            ]
-            for target_name in targets:
-                capture_cell = capture_cell_by_terminal[target_name]
-                for capture in self.instances[capture_cell]:
-                    if not capture.has_input or capture.closure_edge is None:
-                        continue
-                    for launch in source_instances:
-                        arcs.append(
-                            RequirementArc(
-                                assertion=launch.assertion_edge,
-                                closure=capture.closure_edge,
-                            )
-                        )
-        return arcs
+            )
+            if not assertions:
+                continue
+            for target in targets:
+                combinations.add((assertions, closures_by_terminal[target]))
+        return [
+            RequirementArc(assertion=assertion, closure=closure)
+            for assertion, closure in {
+                (assertion, closure)
+                for assertions, closures in combinations
+                for assertion in assertions
+                for closure in closures
+            }
+        ]
 
     # ------------------------------------------------------------------
     # statistics (Table 1 style)

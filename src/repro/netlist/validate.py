@@ -63,6 +63,9 @@ class ValidationReport:
     errors: List[str] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
     control_traces: Dict[str, ControlTrace] = field(default_factory=dict)
+    #: The combinational cells in topological order, as the acyclic
+    #: check computed them; ``None`` when that check found a cycle.
+    comb_order: Optional[Tuple[Cell, ...]] = None
 
     @property
     def ok(self) -> bool:
@@ -236,7 +239,7 @@ def _check_connectivity(network: Network, report: ValidationReport) -> None:
 
 def _check_acyclic(network: Network, report: ValidationReport) -> None:
     try:
-        network.comb_topological_cells()
+        report.comb_order = network.comb_topological_cells()
     except CombinationalCycleError as exc:
         report.errors.append(str(exc))
 

@@ -261,9 +261,11 @@ class TraceStore:
         return document if isinstance(document, dict) else None
 
     def list(self, last: int = 50) -> List[Dict[str, object]]:
-        """Newest-first summaries of up to ``last`` stored traces."""
+        """Newest-first summaries of up to ``last`` stored traces (none
+        for ``last <= 0``)."""
+        last = int(last)
         with self._lock:
-            ids = list(self._index)[-max(0, int(last)):]
+            ids = list(self._index)[-last:] if last > 0 else []
         rows = []
         for trace_id in reversed(ids):
             document = self.get(trace_id)

@@ -14,13 +14,13 @@ cluster's digest, and a warm batch re-run of an edited design
   (source-to-capture reachability, ``dmax_p`` / ``dmin_p`` path delays,
   per-capture worst arcs) loads from the cache and its reachability map
   seeds the analysis model before Algorithm 1 seeds windows, skipping
-  the per-source BFS;
+  the cluster's one-sweep reachability pass;
 * **recomputes** only the dirty cluster's artifact.
 
 Content addressing needs no invalidation: a stale artifact is simply
 never addressed again and ages out of the LRU.  The cache only pays
 when it is warmed *before* the analysis model is built, so that the
-seeded reachability replaces the BFS; batch workers do exactly that.
+seeded reachability replaces the sweep; batch workers do exactly that.
 
 Storage reuses :class:`ResultCache` (same ``repro.cache/1`` on-disk
 entries, atomic writes, advisory index, LRU, integrity quarantine)
@@ -199,9 +199,10 @@ class ClusterCache:
         map from the stored artifact (counted as
         ``service.cluster_cache.seeded``); a miss recomputes the
         artifact (``service.cluster_cache.recomputed``) -- which *is*
-        the cold BFS plus two path-delay sweeps -- and stores it.
-        Either way the cluster object ends up warm, so the analysis
-        model built from these clusters never re-runs the BFS.
+        the cold reachability sweep plus two path-delay sweeps -- and
+        stores it.  Either way the cluster object ends up warm, so the
+        analysis model built from these clusters never re-runs the
+        reachability sweep.
         """
         cmap = build_cluster_map(
             network, schedule, delays, config_sha, clusters=clusters

@@ -123,3 +123,37 @@ class TestReachability:
             reach = cluster.reachable_captures(n)
             (sources,) = reach.values()
             assert len(sources) == 1
+
+    def test_empty_reachability_map_is_memoised(self, lib, monkeypatch):
+        """A cluster with no sources computes its (empty) map once."""
+        from repro.core import clusters as clusters_module
+        from repro.core.clusters import Cluster
+
+        n = _two_cluster_network(lib)
+        (block, __) = [c for c in extract_clusters(n) if c.cells]
+        sourceless = Cluster(
+            "sourceless", block.cells, block.net_names, (), block.captures
+        )
+        calls = []
+        real = clusters_module.cell_arc_pairs
+        monkeypatch.setattr(
+            clusters_module,
+            "cell_arc_pairs",
+            lambda cell: calls.append(cell) or real(cell),
+        )
+        assert sourceless.reachable_captures(n) == {}
+        swept = len(calls)
+        assert swept == len(block.cells)
+        assert sourceless.reachable_captures(n) == {}
+        assert len(calls) == swept
+
+    def test_seeded_map_skips_the_sweep(self, lib, monkeypatch):
+        from repro.core import clusters as clusters_module
+
+        n = _two_cluster_network(lib)
+        (block, __) = [c for c in extract_clusters(n) if c.cells]
+        block.seed_reachability({})
+        monkeypatch.setattr(
+            clusters_module, "cell_arc_pairs", lambda cell: pytest.fail()
+        )
+        assert block.reachable_captures(n) == {}

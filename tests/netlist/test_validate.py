@@ -128,6 +128,7 @@ class TestValidateNetwork:
         b.gate("g2", "INV", A="w1", Z="w2")
         report = validate_network(b.build())
         assert any("cycle" in e for e in report.errors)
+        assert report.comb_order is None
 
     def test_unknown_clock_reference(self, lib):
         b = _base(lib)

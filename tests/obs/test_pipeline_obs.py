@@ -31,6 +31,26 @@ class TestAnalyzerSpans:
         assert "analyzer.analysis" in names
         assert "delay.estimate" in names
 
+    def test_model_build_records_sub_spans(self, lib):
+        network, schedule = build_ff_stage(lib, chain=2, period=10)
+        with obs.recording() as rec:
+            Hummingbird(network, schedule).analyze()
+        (build,) = [r for r in rec.spans if r.name == "analyzer.build_model"]
+        phases = [r for r in rec.spans if r.name.startswith("model.")]
+        assert [r.name for r in phases] == [
+            "model.validate",
+            "model.instances",
+            "model.clusters",
+            "model.reachability",
+            "model.breakopen",
+            "model.ports",
+        ]
+        for record in phases:
+            assert record.depth == build.depth + 1
+            assert build.start <= record.start
+            end = record.start + record.duration
+            assert end <= build.start + build.duration + 1e-9
+
     def test_phase_gauges_published(self, lib):
         network, schedule = build_ff_stage(lib, chain=2, period=10)
         with obs.recording() as rec:

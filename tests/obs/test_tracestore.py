@@ -129,6 +129,15 @@ class TestTraceStore:
         ]
         assert reborn.get(ids[0])["trace_id"] == ids[0]
 
+    def test_list_last_zero_lists_nothing(self, tmp_path):
+        store = self._store(tmp_path)
+        for i in range(3):
+            store.offer(_tid(f"{i:08x}"), status="error", duration_s=0.1)
+        assert store.list(last=0) == []
+        assert store.list(last=-1) == []
+        assert len(store.list(last=1)) == 1
+        assert len(store.list()) == 3
+
     def test_list_skips_corrupt_documents(self, tmp_path):
         store = self._store(tmp_path)
         tid = _tid("00000001")
