@@ -107,18 +107,17 @@ def _warm_reads(
     label: str,
     quick: bool,
     sites: Tuple[str, ...] = (),
-    on_start: Optional[Callable[[object], None]] = None,
     **options: object,
 ) -> Dict[str, object]:
     """Time warm ``analyze`` round trips against one daemon.
 
     Starts a :class:`repro.service.TimingDaemon` with ``options``
-    (shipped defaults when empty) on the latch pipeline, runs
-    ``on_start(daemon)`` if given, warms the engine, then times
-    untraced ``analyze`` round trips.  Meanwhile each call site in
-    ``sites`` -- a dotted attribute path from the daemon, such as
-    ``"watchdog.track"`` -- is wrapped on the instance, and the seconds
-    and calls spent inside it during the timed rounds are summed.
+    (shipped defaults when empty) on the latch pipeline, warms the
+    engine, then times untraced ``analyze`` round trips.  Meanwhile
+    each call site in ``sites`` -- a dotted attribute path from the
+    daemon, such as ``"watchdog.track"`` -- is wrapped on the instance,
+    and the seconds and calls spent inside it during the timed rounds
+    are summed.
 
     Returns ``samples`` (one round-trip time per request),
     ``attributed_s`` and ``calls``.
@@ -153,8 +152,6 @@ def _warm_reads(
     previous = obs.set_recorder(None)
     try:
         with TimingDaemon(socket_path, **options) as daemon:
-            if on_start is not None:
-                on_start(daemon)
             with DaemonClient(socket_path) as client:
                 for __ in range(10):  # warm the incremental engine
                     client.analyze(netlist, clocks)
@@ -794,56 +791,27 @@ def bench_watchdog_overhead(quick: bool) -> Dict[str, object]:
     return {"rounds": len(run["samples"]), **_attributed(run)}
 
 
-@bench("collector_overhead")
-def bench_collector_overhead(quick: bool) -> Dict[str, object]:
-    """What the fleet observability plane costs a warm analyze.
+@bench("trace_store_overhead")
+def bench_trace_store_overhead(quick: bool) -> Dict[str, object]:
+    """What the tail-sampled trace store costs a warm analyze.
 
-    Attribution on one daemon with the plane on, same method as
-    ``service_telemetry_overhead``: a tail-sampling trace store
-    (``--trace-dir`` at the default 5%% sample rate) and a
-    ``serve --collect``-style embedded :class:`FleetCollector` whose
-    peers file points back at the daemon's own sidecar.  The timed
-    call site is the request tail's ``trace_store.offer``.  The
-    collector's sweep and the sidecar scrapes it makes run on their own
-    threads, off the request path, and are not attributed.
+    Attribution on one daemon with ``--trace-dir`` at the default 5%%
+    sample rate, same method as ``service_telemetry_overhead``: the
+    timed call site is the request tail's ``trace_store.offer``, which
+    decides keep/drop and writes the kept ``repro.tracedoc/1`` files.
     """
-    import os
     import tempfile
-
-    from repro.service import FleetCollector
-
-    def _point_collector_at_sidecar(daemon) -> None:
-        # The sidecar port is known only now; the next sweep reloads
-        # the peers file.
-        host, port = daemon.http_address
-        peers_file = Path(daemon.collector.peers_file)
-        peers_file.write_text(f"http://{host}:{port}\n")
-        stamp = peers_file.stat().st_mtime + 10
-        os.utime(peers_file, (stamp, stamp))
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         directory = Path(tmp)
-        peers_file = directory / "peers.txt"
-        peers_file.write_text("")
-        collector = FleetCollector(
-            peers_file, interval_s=1.0, timeout_s=1.0, http_port=None
-        )
         run = _warm_reads(
             directory,
-            "plane",
+            "traced",
             quick,
             sites=("trace_store.offer",),
-            on_start=_point_collector_at_sidecar,
-            http_port=0,
             trace_dir=directory / "traces",
-            collector=collector,
         )
-        sweeps = collector.health()["sweeps"]
-    return {
-        "rounds": len(run["samples"]),
-        **_attributed(run),
-        "collector_sweeps": int(sweeps),
-    }
+    return {"rounds": len(run["samples"]), **_attributed(run)}
 
 
 @bench("cluster_invalidation")

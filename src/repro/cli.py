@@ -381,13 +381,11 @@ def _make_remote(args: argparse.Namespace):
     daemon checks on its history cadence), so peers can join or leave
     without a restart.
     """
-    from repro.service import RemoteCache
+    from repro.service.fabric import RemoteCache, load_peers
 
     peers = list(getattr(args, "peers", None) or ())
     peers_file = getattr(args, "peers_file", None)
     if peers_file:
-        from repro.obs.fleet import load_peers
-
         try:
             for url in load_peers(peers_file):
                 if url not in peers:
@@ -546,23 +544,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_bytes=args.access_log_max_bytes,
             backups=args.access_log_backups,
         )
-    collector = None
-    if getattr(args, "collect", False):
-        from repro.service import FleetCollector
-
-        if not getattr(args, "peers_file", None):
-            raise SystemExit("--collect needs --peers-file")
-        if args.http_port is None:
-            raise SystemExit(
-                "--collect needs --http-port (the fleet routes ride "
-                "the telemetry sidecar)"
-            )
-        collector = FleetCollector(
-            args.peers_file,
-            interval_s=args.collect_interval,
-            timeout_s=args.peer_timeout,
-            http_port=None,
-        )
     daemon = TimingDaemon(
         args.socket,
         cache=_make_cache(args),
@@ -576,7 +557,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         trace_dir=args.trace_dir,
         trace_max_bytes=args.trace_max_bytes,
         trace_sample=args.trace_sample,
-        collector=collector,
         workers=args.workers,
         snapshot_reads=not args.no_snapshot_reads,
         stall_timeout_s=(
@@ -607,14 +587,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"({stats['traces']} traces on disk, "
             f"max {args.trace_max_bytes} bytes, "
             f"sample {args.trace_sample:g})",
-            file=sys.stderr,
-        )
-    if collector is not None:
-        print(
-            f"fleet collector: {len(collector.peers)} peers from "
-            f"{args.peers_file} every {args.collect_interval:g}s "
-            "(GET /fleetz, /fleet/doctor, /fleet/metrics, "
-            "/fleet/history)",
             file=sys.stderr,
         )
     if cache_server is not None:
@@ -810,46 +782,7 @@ def cmd_alerts(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fleet_peers(args: argparse.Namespace) -> List[str]:
-    """Peer URLs for the fleet commands (``--peers`` + ``--peers-file``)."""
-    from repro.obs.fleet import load_peers
-
-    peers = list(getattr(args, "peers", None) or ())
-    if getattr(args, "peers_file", None):
-        try:
-            for url in load_peers(args.peers_file):
-                if url not in peers:
-                    peers.append(url)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot read --peers-file: {exc}")
-    if not peers:
-        raise SystemExit("no peers: pass --peers and/or --peers-file")
-    return peers
-
-
 def cmd_doctor(args: argparse.Namespace) -> int:
-    if getattr(args, "fleet", False):
-        from repro.obs.fleet import (
-            build_fleet_doctor,
-            fleet_doctor_exit_code,
-            render_fleet_doctor,
-        )
-        from repro.service.collector import scrape_fleet
-
-        scrapes = scrape_fleet(
-            _fleet_peers(args), timeout_s=args.timeout
-        )
-        doc = build_fleet_doctor(scrapes)
-        if args.json:
-            print(
-                json.dumps(
-                    doc, indent=2, sort_keys=True, separators=(",", ": ")
-                )
-            )
-        else:
-            print(render_fleet_doctor(doc))
-        return fleet_doctor_exit_code(doc)
-
     from repro.service import DaemonClient
     from repro.service.doctor import (
         doctor_exit_code,
@@ -857,8 +790,6 @@ def cmd_doctor(args: argparse.Namespace) -> int:
         render_doctor,
     )
 
-    if not args.socket:
-        raise SystemExit("doctor needs --socket (or --fleet with peers)")
     try:
         with DaemonClient(args.socket, timeout=args.timeout) as client:
             doc = fetch_doctor(client, flight_last=args.flight)
@@ -873,72 +804,6 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     else:
         print(render_doctor(doc))
     return doctor_exit_code(doc)
-
-
-def cmd_collect(args: argparse.Namespace) -> int:
-    """Standalone fleet collector process (``repro-sta collect``)."""
-    import time as _time
-
-    from repro.service import FleetCollector
-
-    collector = FleetCollector(
-        args.peers_file,
-        interval_s=args.interval,
-        timeout_s=args.peer_timeout,
-        http_port=args.http_port,
-    )
-    host, port = collector.start()
-    print(
-        f"repro-sta collector on {host}:{port} "
-        f"(GET /fleetz, /fleet/doctor, /fleet/metrics, /fleet/history, "
-        f"/healthz); {len(collector.peers)} peers from {args.peers_file} "
-        f"every {args.interval:g}s",
-        file=sys.stderr,
-    )
-    try:
-        while True:
-            _time.sleep(3600.0)
-    except KeyboardInterrupt:
-        collector.stop()
-        print("collector stopped", file=sys.stderr)
-    return 0
-
-
-def cmd_fleet(args: argparse.Namespace) -> int:
-    """Multi-peer dashboard (``repro-sta fleet``)."""
-    import time as _time
-
-    from repro.obs.fleet import build_fleet_doc, render_fleet
-    from repro.service.collector import scrape_fleet
-
-    peers = _fleet_peers(args)
-    iterations = 1 if args.once else args.iterations
-    rendered = 0
-    try:
-        while iterations is None or rendered < iterations:
-            doc = build_fleet_doc(
-                scrape_fleet(peers, timeout_s=args.timeout)
-            )
-            if args.json:
-                print(
-                    json.dumps(
-                        doc, sort_keys=True, separators=(",", ":")
-                    )
-                )
-                sys.stdout.flush()
-            else:
-                text = render_fleet(doc)
-                if args.once or args.iterations is not None:
-                    print(text)
-                else:
-                    sys.stdout.write("\x1b[H\x1b[2J" + text + "\n")
-                    sys.stdout.flush()
-            rendered += 1
-            if iterations is None or rendered < iterations:
-                _time.sleep(args.interval)
-    except KeyboardInterrupt:
-        pass
-    return 0
 
 
 def cmd_traces(args: argparse.Namespace) -> int:
@@ -1201,7 +1066,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="cache-fabric peer base URLs (e.g. "
             "http://127.0.0.1:9400); keys shard over the list and "
-            "the local cache becomes an L1 in front of the fleet's "
+            "the local cache becomes an L1 in front of the fabric's "
             "shared L2",
         )
         fabric.add_argument(
@@ -1408,23 +1273,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="probability of keeping an unremarkable (ok, fast) "
         "request's trace (default: 0.05)",
     )
-    fleet_group = serve.add_argument_group("fleet collector")
-    fleet_group.add_argument(
-        "--collect",
-        action="store_true",
-        help="embed a fleet collector: scrape the sidecars listed in "
-        "--peers-file on the history cadence and serve /fleetz, "
-        "/fleet/doctor, /fleet/metrics and /fleet/history from this "
-        "daemon's --http-port",
-    )
-    fleet_group.add_argument(
-        "--collect-interval",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="collector scrape cadence (default: 5.0, the metrics-"
-        "history cadence)",
-    )
     diagnosis = serve.add_argument_group("self-diagnosis")
     diagnosis.add_argument(
         "--alert-rules",
@@ -1549,10 +1397,9 @@ def build_parser() -> argparse.ArgumentParser:
         "doctor",
         help="one-shot daemon triage: firing alerts, latest crash "
         "report, flight-recorder tail (exit 0 healthy / 1 alerts "
-        "firing / 2 crash report present); --fleet aggregates every "
-        "peer's verdict into one exit code",
+        "firing / 2 crash report present)",
     )
-    doctor.add_argument("--socket", metavar="PATH")
+    doctor.add_argument("--socket", required=True, metavar="PATH")
     doctor.add_argument(
         "--flight",
         type=int,
@@ -1564,114 +1411,9 @@ def build_parser() -> argparse.ArgumentParser:
     doctor.add_argument(
         "--json",
         action="store_true",
-        help="emit the raw repro.doctor/1 (or repro.fleetdoctor/1) "
-        "document",
-    )
-    doctor.add_argument(
-        "--fleet",
-        action="store_true",
-        help="triage every peer sidecar over HTTP instead of one "
-        "daemon's socket (exit code = worst peer; a down peer is at "
-        "least exit 1)",
-    )
-    doctor.add_argument(
-        "--peers",
-        metavar="URL",
-        nargs="+",
-        default=None,
-        help="peer sidecar base URLs for --fleet",
-    )
-    doctor.add_argument(
-        "--peers-file",
-        metavar="FILE",
-        default=None,
-        help="read peer sidecar URLs for --fleet from FILE",
+        help="emit the raw repro.doctor/1 document",
     )
     doctor.set_defaults(func=cmd_doctor)
-
-    collect = sub.add_parser(
-        "collect",
-        help="run a standalone fleet collector: scrape every peer "
-        "sidecar on a cadence and serve the aggregated /fleetz view",
-    )
-    collect.add_argument(
-        "--peers-file",
-        required=True,
-        metavar="FILE",
-        help="peer sidecar base URLs (one per line or JSON; re-read "
-        "when the file changes)",
-    )
-    collect.add_argument(
-        "--http-port",
-        type=int,
-        required=True,
-        metavar="PORT",
-        help="serve GET /fleetz, /fleet/doctor, /fleet/metrics, "
-        "/fleet/history and /healthz on 127.0.0.1:PORT (0 picks an "
-        "ephemeral port)",
-    )
-    collect.add_argument(
-        "--interval",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="scrape cadence (default: 5.0, the metrics-history "
-        "cadence)",
-    )
-    collect.add_argument(
-        "--peer-timeout",
-        type=float,
-        default=2.0,
-        metavar="S",
-        help="per-endpoint scrape timeout (default: 2.0s)",
-    )
-    collect.set_defaults(func=cmd_collect)
-
-    fleet = sub.add_parser(
-        "fleet",
-        help="multi-peer dashboard: one row per daemon with req/s, "
-        "latency quantiles, cache/fabric hit rates, firing alerts "
-        "and up/degraded/down state",
-    )
-    fleet.add_argument(
-        "--peers",
-        metavar="URL",
-        nargs="+",
-        default=None,
-        help="peer sidecar base URLs (e.g. http://127.0.0.1:9200)",
-    )
-    fleet.add_argument(
-        "--peers-file",
-        metavar="FILE",
-        default=None,
-        help="read peer sidecar URLs from FILE",
-    )
-    fleet.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="poll/redraw period (default: 2.0)",
-    )
-    fleet.add_argument(
-        "--iterations",
-        type=int,
-        default=None,
-        metavar="N",
-        help="render N frames then exit (default: run until Ctrl-C)",
-    )
-    fleet.add_argument(
-        "--once",
-        action="store_true",
-        help="render a single frame to stdout and exit (no redraw)",
-    )
-    fleet.add_argument("--timeout", type=float, default=2.0)
-    fleet.add_argument(
-        "--json",
-        action="store_true",
-        help="emit one repro.fleet/1 JSON document per refresh",
-    )
-    fleet.set_defaults(func=cmd_fleet)
 
     traces = sub.add_parser(
         "traces",

@@ -656,8 +656,7 @@ def triage_code(
     alerts_doc: Optional[Dict[str, object]],
     crash_doc: Optional[Dict[str, object]],
 ) -> int:
-    """The daemon triage rule ``repro-sta doctor`` and the fleet doctor
-    share: ``2`` when the ``crash-report`` response (``GET /crashz``)
+    """The daemon triage rule of ``repro-sta doctor``: ``2`` when the ``crash-report`` response (``GET /crashz``)
     holds a report, else ``1`` while an alert fires, else ``0``."""
     if crash_doc and crash_doc.get("ok") and isinstance(
         crash_doc.get("crash"), dict

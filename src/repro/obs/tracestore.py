@@ -76,11 +76,12 @@ class TailSampler:
     (``"error"``, ``"slow"`` or ``"sampled"``) or ``None`` for drop.
 
     The slow threshold is the p95 of the durations seen so far, tracked
-    in a streaming latency histogram; below ``min_count`` observations
-    the quantile is not trusted yet and every request counts as slow
-    (early traffic is cheap to keep and useful for smoke tests).  The
-    probabilistic arm hashes the trace id, so the decision is
-    deterministic per trace and testable.
+    in a streaming latency histogram.  Below ``min_count`` observations
+    the quantile is not trusted yet and no request counts as slow: a
+    young daemon keeps only errors and the sampled arm, so its first
+    requests do not each cost a trace file.  The probabilistic arm
+    hashes the trace id, so the decision is deterministic per trace and
+    testable.
     """
 
     def __init__(
@@ -120,7 +121,7 @@ class TailSampler:
             self._durations.observe(duration_s)
         if status == "error":
             return "error"
-        if threshold is None or duration_s >= threshold:
+        if threshold is not None and duration_s >= threshold:
             return "slow"
         if self._hash_unit(trace_id) < self.sample_rate:
             return "sampled"

@@ -26,10 +26,10 @@ for the self-driving background thread (the daemon does), or call
 
 Every value derived from a list of points -- a counter's increase, its
 rate, the per-interval trend -- comes from :func:`increases`,
-:func:`increase` and :func:`rate` here, so ``repro-sta top``, the fleet
-view and the alert engine share one counter-reset rule.  They are plain
-functions over point lists because ``top`` and the fleet read history
-documents fetched from other processes.
+:func:`increase` and :func:`rate` here, so ``repro-sta top`` and the
+alert engine share one counter-reset rule.  They are plain functions
+over point lists because ``top`` reads history documents fetched from
+another process.
 """
 
 from __future__ import annotations

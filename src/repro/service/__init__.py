@@ -22,22 +22,17 @@ engine for repeated and concurrent timing queries:
   analyze / what-if / report queries through the incremental engine,
 * :mod:`repro.service.httpmon` -- the shared localhost HTTP stack
   (:class:`RouteTable` / :class:`RouteHTTPServer`) behind the daemon's
-  ``repro-sta serve --http-port`` sidecar, the collector and the cache
-  fabric,
+  ``repro-sta serve --http-port`` sidecar and the cache fabric,
 * :mod:`repro.service.fabric` -- the distributed cache fabric:
   :class:`CacheServer` (HTTP object store over a :class:`ResultCache`),
   :class:`ShardRouter` (deterministic digest-prefix sharding),
   :class:`RemoteCache` / :class:`TieredCache` (local L1 over the
-  fleet's shared L2, with graceful degradation),
+  fabric's shared L2, with graceful degradation),
 * :mod:`repro.service.top` -- frame fetch + pure renderer for the
   ``repro-sta top`` live daemon dashboard,
 * :mod:`repro.service.doctor` -- one-shot triage (``repro-sta
   doctor``): firing alerts, latest crash report and the flight-recorder
-  tail, with a CI-friendly exit code,
-* :mod:`repro.service.collector` -- the fleet observability plane:
-  :func:`scrape_peer` / :class:`FleetCollector` scrape every peer's
-  sidecar into one ``repro.fleet/1`` view (``GET /fleetz``,
-  ``repro-sta fleet``, ``repro-sta doctor --fleet``).
+  tail, with a CI-friendly exit code.
 
 See ``docs/service.md`` for the cache key scheme, batch semantics,
 the daemon protocol and the monitoring walkthrough.
@@ -57,11 +52,6 @@ from repro.service.cluster_cache import (
     ClusterMap,
     ClusterWarmup,
     build_cluster_map,
-)
-from repro.service.collector import (
-    FleetCollector,
-    scrape_fleet,
-    scrape_peer,
 )
 from repro.service.daemon import DaemonClient, TimingDaemon
 from repro.service.digest import (
@@ -107,9 +97,6 @@ __all__ = [
     "build_cluster_map",
     "cluster_digest",
     "DaemonClient",
-    "FleetCollector",
-    "scrape_fleet",
-    "scrape_peer",
     "JobOutcome",
     "ResultCache",
     "TimingDaemon",

@@ -339,7 +339,6 @@ class TimingDaemon:
         trace_dir: Union[None, str, "os.PathLike[str]"] = None,
         trace_max_bytes: int = 64 * 1024 * 1024,
         trace_sample: float = 0.05,
-        collector=None,
         workers: int = 8,
         snapshot_reads: bool = True,
     ) -> None:
@@ -352,7 +351,8 @@ class TimingDaemon:
         #: every request mints a trace id, the sampler keeps errored,
         #: p95-slow and a deterministic fraction of the rest, and the
         #: kept ids surface as exemplars on the ``/metrics`` latency
-        #: histogram (see docs/observability.md, "Fleet observability").
+        #: histogram (see docs/observability.md, "Trace store and
+        #: exemplars").
         self.trace_store: Optional[TraceStore] = (
             TraceStore(
                 trace_dir,
@@ -362,10 +362,6 @@ class TimingDaemon:
             if trace_dir is not None
             else None
         )
-        #: Embedded fleet collector (``serve --collect``): its
-        #: ``/fleetz``-family routes merge into this daemon's sidecar
-        #: and its scrape loop starts/stops with the daemon.
-        self.collector = collector
         #: Fabric client when ``cache`` is a
         #: :class:`repro.service.fabric.TieredCache` -- probed on the
         #: history cadence so the ``service.fabric.degraded`` gauge
@@ -600,11 +596,6 @@ class TimingDaemon:
         for path, fixed in self.HTTP_ROUTES:
             table.add("GET", path, self._sidecar_route(fixed))
         table.add_simple("/metrics", self._http_metrics)
-        if self.collector is not None:
-            # ``serve --collect``: the fleet routes ride the daemon's
-            # own sidecar instead of a separate collector port.
-            for path, route in self.collector.embedded_routes().items():
-                table.add_simple(path, route)
         self._sidecar = RouteHTTPServer(
             table,
             port=self.http_port,
@@ -820,7 +811,6 @@ class TimingDaemon:
                     if self.trace_store is not None
                     else None
                 ),
-                "collector": self.collector is not None,
             },
         }
 
@@ -907,7 +897,6 @@ class TimingDaemon:
         self._start_pool()
         self._start_cache_server()
         self._start_sidecar()
-        self._start_collector()
         self._start_history()
         self._start_self_diagnosis()
         self._thread = threading.Thread(
@@ -925,7 +914,6 @@ class TimingDaemon:
         self._start_pool()
         self._start_cache_server()
         self._start_sidecar()
-        self._start_collector()
         self._start_history()
         self._start_self_diagnosis()
         try:
@@ -949,12 +937,6 @@ class TimingDaemon:
         ):
             self.cache_server.start()
 
-    def _start_collector(self) -> None:
-        if self.collector is not None and (
-            getattr(self.collector, "_thread", None) is None
-        ):
-            self.collector.start()
-
     def _cleanup(self) -> None:
         pool, self._pool = self._pool, None
         if pool is not None:
@@ -964,9 +946,6 @@ class TimingDaemon:
         sidecar, self._sidecar = self._sidecar, None
         if sidecar is not None:
             sidecar.stop()
-        collector, self.collector = self.collector, None
-        if collector is not None:
-            collector.stop()
         server, self.cache_server = self.cache_server, None
         if server is not None:
             server.stop()

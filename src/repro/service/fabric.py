@@ -63,6 +63,7 @@ __all__ = [
     "RemoteCache",
     "ShardRouter",
     "TieredCache",
+    "load_peers",
 ]
 
 #: Schema identifier of one fabric wire envelope.
@@ -78,6 +79,40 @@ SHARD_BUCKETS = 16
 def _default_owner() -> str:
     """Lease owner identity: stable per process, unique per host."""
     return f"{socket.gethostname()}:{os.getpid()}"
+
+
+def load_peers(path: Union[str, Path]) -> List[str]:
+    """Parse a ``--peers-file`` into a normalised, deduplicated URL list.
+
+    Two formats are accepted:
+
+    * plain text -- one base URL per line, ``#`` comments and blank
+      lines ignored;
+    * JSON -- either a bare list of URLs or ``{"peers": [...]}``.
+
+    URLs are normalised (surrounding whitespace and trailing ``/``
+    stripped) and deduplicated preserving first-seen order, matching
+    :class:`ShardRouter`'s normalisation.
+    """
+    text = Path(path).read_text()
+    raw: Sequence[object]
+    if text.lstrip().startswith(("[", "{")):
+        parsed = json.loads(text)
+        if isinstance(parsed, dict):
+            parsed = parsed.get("peers") or []
+        if not isinstance(parsed, list):
+            raise ValueError(
+                "JSON peers file must be a list or {'peers': [...]}"
+            )
+        raw = parsed
+    else:
+        raw = [line.partition("#")[0] for line in text.splitlines()]
+    peers: List[str] = []
+    for entry in raw:
+        url = str(entry).strip().rstrip("/")
+        if url and url not in peers:
+            peers.append(url)
+    return peers
 
 
 class ShardRouter:
@@ -526,8 +561,6 @@ class RemoteCache:
                 return False
             self._peers_mtime = mtime
             try:
-                from repro.obs.fleet import load_peers
-
                 peers = load_peers(self.peers_file)
                 if not peers:
                     return False

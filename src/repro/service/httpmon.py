@@ -1,16 +1,14 @@
 """Localhost HTTP serving stack: route table and server.
 
-Three HTTP services are built on this module:
+Two HTTP services are built on this module:
 
 * the daemon's read-only telemetry sidecar behind ``repro-sta serve
   --http-port`` (its routes serve the daemon's op documents; see
   :attr:`repro.service.daemon.TimingDaemon.HTTP_ROUTES`),
-* :class:`repro.service.collector.FleetCollector`'s standalone
-  ``/fleetz`` server,
 * :class:`repro.service.fabric.CacheServer` -- the cache-fabric object
   store (``GET/PUT/HEAD /objects/<key>``).
 
-All are built from the same two pieces so the HTTP hygiene rules are
+Both are built from the same two pieces so the HTTP hygiene rules are
 implemented (and tested) exactly once:
 
 * :class:`RouteTable` -- maps ``(method, path)`` to a handler.  Exact

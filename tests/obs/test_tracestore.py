@@ -28,10 +28,16 @@ class TestTailSampler:
         sampler.decide("ok", 0.001, _tid("ffffffff"))
         assert sampler.decide("error", 0.0, _tid("ffffffff")) == "error"
 
-    def test_everything_slow_during_warmup(self):
-        sampler = TailSampler(sample_rate=0.0, min_count=5)
-        for _ in range(4):
-            assert sampler.decide("ok", 0.001, _tid("ffffffff")) == "slow"
+    def test_warmup_keeps_only_errors_and_sampled(self):
+        sampler = TailSampler(sample_rate=0.05, min_count=5)
+        assert sampler.slow_threshold() is None
+        # Until the p95 is known nothing counts as slow: a non-sampled
+        # id is dropped however long it took ...
+        assert sampler.decide("ok", 5.0, _tid("ffffffff")) is None
+        # ... while the hash-sampled arm and errors still keep.
+        assert sampler.decide("ok", 5.0, _tid("00000000")) == "sampled"
+        assert sampler.decide("error", 0.0, _tid("ffffffff")) == "error"
+        assert sampler.slow_threshold() is None
 
     def test_slow_threshold_is_dynamic_p95(self):
         sampler = TailSampler(sample_rate=0.0, min_count=10)

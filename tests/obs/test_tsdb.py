@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.obs.alerts import AlertEngine, AlertRule
-from repro.obs.fleet import peer_row
 from repro.obs.tsdb import (
     HISTORY_SCHEMA,
     MetricsHistory,
@@ -361,15 +360,6 @@ def _top_trend_rates(points):
     return [value / 5.0 for value in trend]
 
 
-def _fleet_rates(points):
-    # A peer row rates the two newest points of the scraped history.
-    scrapes = [
-        {"ok": True, "history": {"points": points[:end]}}
-        for end in range(2, len(points) + 1)
-    ]
-    return [peer_row("http://a:1", scrape)["rate_rps"] for scrape in scrapes]
-
-
 def _burn_rates(points):
     rule = AlertRule(
         name="requests_per_second",
@@ -390,12 +380,12 @@ def _burn_rates(points):
 
 
 class TestOneCounterRule:
-    """``top``, the fleet view and burn-rate alerts read one rule."""
+    """``top`` and burn-rate alerts read one rule."""
 
     @pytest.mark.parametrize(
         "consumer",
-        [_top_frame_rates, _top_trend_rates, _fleet_rates, _burn_rates],
-        ids=["top-frames", "top-trend", "fleet", "burn-rate"],
+        [_top_frame_rates, _top_trend_rates, _burn_rates],
+        ids=["top-frames", "top-trend", "burn-rate"],
     )
     def test_restart_trace(self, consumer):
         # 10 -> 25 -> 4 (restart) -> 9, five seconds apart.

@@ -20,6 +20,7 @@ from repro.service.fabric import (
     RemoteCache,
     ShardRouter,
     TieredCache,
+    load_peers,
 )
 
 
@@ -113,6 +114,42 @@ class TestShardRouter:
                 assert after[bucket] == before[bucket]
             else:
                 assert after[bucket] != removed
+
+
+class TestLoadPeers:
+    def test_text_format(self, tmp_path):
+        path = tmp_path / "peers.txt"
+        path.write_text(
+            "# fabric\n"
+            "http://127.0.0.1:9001/\n"
+            "http://127.0.0.1:9002   # trailing comment\n"
+            "\n"
+            "http://127.0.0.1:9001\n"  # duplicate after normalising
+        )
+        assert load_peers(path) == [
+            "http://127.0.0.1:9001",
+            "http://127.0.0.1:9002",
+        ]
+
+    def test_json_list(self, tmp_path):
+        path = tmp_path / "peers.json"
+        path.write_text(json.dumps(["http://a:1/", "http://b:2"]))
+        assert load_peers(path) == ["http://a:1", "http://b:2"]
+
+    def test_json_object(self, tmp_path):
+        path = tmp_path / "peers.json"
+        path.write_text(json.dumps({"peers": ["http://a:1"]}))
+        assert load_peers(path) == ["http://a:1"]
+
+    def test_json_wrong_shape_rejected(self, tmp_path):
+        path = tmp_path / "peers.json"
+        path.write_text(json.dumps({"peers": "http://a:1"}))
+        with pytest.raises(ValueError):
+            load_peers(path)
+
+    def test_missing_file_raises_oserror(self, tmp_path):
+        with pytest.raises(OSError):
+            load_peers(tmp_path / "absent")
 
 
 @pytest.fixture
@@ -457,7 +494,7 @@ class TestDynamicPeerMembership:
             assert remote.maybe_reload_peers() is False
             assert remote.stats.peer_set_reloads == 0
 
-            # Grow the fleet; the next reload picks up the new peer.
+            # Grow the peer set; the next reload picks up the new peer.
             self._write_peers(peers_file, [base_a, base_b])
             self._touch(peers_file)
             assert remote.maybe_reload_peers() is True
